@@ -17,11 +17,12 @@
 //     (tppnet.NewNetwork(tppnet.WithSeed(1)), net.Dumbbell(6, 100)).
 //     tppnet.WithShards(n) runs the network as n topology shards under an
 //     asynchronous conservative parallel discrete-event scheme — per-channel
-//     lookahead, lock-free cross-shard mailboxes, persistent shard workers —
-//     with results byte-identical to the single-engine simulation
-//     (tppnet.WithSyncMode selects the global-epoch reference instead); each
-//     engine schedules events on an amortized-O(1) hierarchical timing wheel
-//     (tppnet.WithScheduler selects the binary-heap reference instead).
+//     lookahead, lock-free cross-shard mailboxes, one goroutine per shard
+//     per run — with results byte-identical to the single-engine
+//     simulation; each engine schedules events on an amortized-O(1)
+//     hierarchical timing wheel. That is the one engine configuration: the
+//     binary-heap and global-epoch references it is tested against live
+//     only in internal/sim's tests.
 //     Its subpackage minions/tppnet/app is the application framework: the
 //     app.App contract every minion application implements (Attach → Start
 //     → Stop → Close), the resource-tracking app.Base, allocation-free
@@ -47,7 +48,7 @@
 //     tppnet.WithFaults(plan) and injected at the link transmit path and
 //     switch ingress behind nil checks that leave the no-fault hot path
 //     allocation-free. Identical (topology, workload, plan) tuples replay
-//     byte-identically across runs, shard counts and schedulers; the apps
+//     byte-identically across runs and shard counts; the apps
 //     layer above is built to survive it (CONGA* dead-path reroute, RCP*
 //     missed-round rate decay, host executor retry with backoff), and
 //     faults.Export/ExportDrops make chaos runs observable through the
@@ -73,12 +74,11 @@
 //     allocation-free simulator handlers. Sampling is O(1) inverse-CDF /
 //     alias tables; the compiled runner pre-commits pool, queue-ring and
 //     TPP-buffer headroom so warmed runs hold 0 allocs/pkt-hop, and its
-//     Fingerprint is byte-identical across shard counts, sync modes and
-//     schedulers.
+//     Fingerprint is byte-identical across shard counts.
 //
 //   - minions/testbed — the reproduction harness on top of all of the
 //     above: one runner per table/figure of the evaluation, parameterized
-//     by a single SimOpts option struct (seed, shards, scheduler), with
+//     by a single SimOpts option struct (seed, shards, faults), with
 //     trace-captured and replayed variants of the Figure 2 and Figure 4
 //     runners, a telemetry-export hook on the fat-tree scale harness,
 //     canned workload specs (WorkloadHeavyTail, WorkloadIncastFatTree)

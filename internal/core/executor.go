@@ -26,6 +26,7 @@ type ExecContext struct {
 	hdr     uint32 // packed bytes 0 (ver|mode), 1 (#insns), 2 (memwords), 4 (perhop)
 	min     int    // minimum section length the cached shape requires
 	valid   bool
+	fills   uint64 // validate+decode passes, for the batching tests
 }
 
 // packHdr packs the shape-defining header bytes. Bytes 3 (hop/SP), 5 (flags)
@@ -77,6 +78,7 @@ func (c *ExecContext) fill(s Section) {
 	c.hdr = packHdr(s)
 	c.min = HeaderLen + c.n*InsnSize + s.MemWords()*WordSize
 	c.valid = true
+	c.fills++
 }
 
 // Reset invalidates the decoded-instruction cache.

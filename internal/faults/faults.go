@@ -12,7 +12,7 @@
 // engine that owns the target's shard. No mutable state is shared across
 // shards — the aggregate counters are commutative atomic sums — so a given
 // (topology, workload, plan, seed) tuple replays byte-identically on one
-// shard or many, and on either engine scheduler. Reproducible scripted
+// shard or many. Reproducible scripted
 // chaos in the spirit of MoonGen's seedable traffic scripting
 // (arXiv:1410.3322).
 //

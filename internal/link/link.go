@@ -208,7 +208,8 @@ type Link struct {
 
 	// boundary, when set, marks this link as crossing between topology
 	// shards: transmission-complete packets park in the boundary mailbox
-	// for the epoch barrier instead of scheduling a local delivery.
+	// for the receiving shard to drain instead of scheduling a local
+	// delivery.
 	boundary *Boundary
 
 	// Lazy fixed-window utilization estimators: rolled on access. winBytes
@@ -422,7 +423,7 @@ func (l *Link) Handle(arg uint64) {
 		}
 		if l.boundary != nil {
 			// The receiver lives in another shard: park the packet for the
-			// epoch-barrier drain instead of scheduling delivery here.
+			// receiving shard's drain instead of scheduling delivery here.
 			l.boundary.park(p, l.eng.Now())
 		} else {
 			l.inflight.Push(p)
@@ -483,7 +484,7 @@ func (l *Link) startTransmit() {
 }
 
 // Pending reports whether the link still holds or is serializing packets
-// (including packets parked at a shard boundary awaiting their barrier).
+// (including packets parked at a shard boundary awaiting their drain).
 func (l *Link) Pending() bool {
 	return l.busy || l.queue.Len() > 0 ||
 		(l.boundary != nil && l.boundary.PendingCrossings() > 0)

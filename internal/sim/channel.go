@@ -4,56 +4,13 @@ package sim
 //
 // Each directed shard-crossing link registers one Channel. The source shard
 // parks crossings into the channel's single-producer/single-consumer mailbox
-// as it simulates; the destination shard drains the mailbox incrementally —
-// under the asynchronous engine, whenever its per-channel clocks permit;
-// under the reference epoch engine, at every global barrier. Because every
-// crossing carries a deterministic tie-break key (crossKey below), the drain
-// instant is unobservable: drained events land in the destination scheduler
-// in exactly the order the old single-threaded barrier merge produced.
+// as it simulates; the destination shard drains the mailbox incrementally,
+// whenever its per-channel clocks permit. Because every crossing carries a
+// deterministic tie-break key (crossKey below), the drain instant is
+// unobservable: drained events land in the destination scheduler in
+// exactly the order a single-threaded barrier merge produces.
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// SyncMode selects the ShardGroup's conservative synchronization algorithm.
-type SyncMode uint8
-
-const (
-	// SyncChannel is the default asynchronous conservative engine: each
-	// shard independently advances to the minimum over its incoming
-	// boundary channels of (source-shard clock + channel delay), draining
-	// mailboxes incrementally. There are no global barriers inside a run —
-	// the only group-wide sync points are the dispatch and join of the run
-	// itself.
-	SyncChannel SyncMode = iota
-	// SyncEpoch is the global-epoch reference engine: shards advance in
-	// lockstep windows bounded by the group-wide minimum channel delay,
-	// with a full barrier (and mailbox drain) per epoch. Byte-identical to
-	// SyncChannel; kept as the measurable baseline the sync counters are
-	// compared against, the same way the binary heap backs the timing
-	// wheel.
-	SyncEpoch
-)
-
-// String names the sync mode.
-func (m SyncMode) String() string {
-	if m == SyncEpoch {
-		return "epoch"
-	}
-	return "channel"
-}
-
-// ParseSyncMode resolves a -sync flag value ("channel" or "epoch").
-func ParseSyncMode(name string) (SyncMode, error) {
-	switch name {
-	case "channel", "":
-		return SyncChannel, nil
-	case "epoch":
-		return SyncEpoch, nil
-	}
-	return 0, fmt.Errorf("sim: unknown sync mode %q (want channel or epoch)", name)
-}
+import "sync/atomic"
 
 // Crossing tie-break keys. A key occupies the event seq field with the high
 // bit set, so at an equal (firing time, insertion time) every local event —
@@ -186,13 +143,13 @@ type crossMsg struct {
 
 // Channel is one directed shard-crossing channel — in the network
 // substrate, a link whose transmitter and receiver live in different
-// shards. The source shard parks crossings with Send; the group (or the
-// destination shard's worker) drains them into the destination engine.
+// shards. The source shard parks crossings with Send; the destination
+// shard drains them into its engine.
 // The channel's propagation delay is its lookahead contribution: a shard
 // can safely advance to min over incoming channels of (source clock +
 // delay) without ever receiving a crossing from its past.
 type Channel struct {
-	st    *groupState
+	g     *ShardGroup
 	idx   int
 	src   int
 	dst   int
@@ -225,7 +182,7 @@ func (c *Channel) Send(now Time, h Handler, arg uint64) {
 
 // Pending returns the number of parked crossings not yet drained into the
 // destination engine. Safe only from the consumer side (the destination
-// shard's worker, or the coordinator while all workers are parked).
+// shard during a run, or anyone between runs).
 func (c *Channel) Pending() int { return c.q.Avail() }
 
 // drainInto schedules every currently visible crossing into the
@@ -241,14 +198,14 @@ func (c *Channel) drainInto(e *Engine) int {
 		c.q.Advance()
 	}
 	if n > 0 {
-		c.st.crossings[c.dst].v += uint64(n)
+		c.g.crossings[c.dst].v += uint64(n)
 	}
 	return n
 }
 
 // earliestPending returns the delivery time of the oldest undrained
-// crossing. Consumer-side only (used by the full-drain Run loop while all
-// workers are parked).
+// crossing. Consumer-side only (used by the full-drain Run loop between
+// runs).
 func (c *Channel) earliestPending() (Time, bool) {
 	if c.q.Avail() == 0 {
 		return 0, false
@@ -258,17 +215,15 @@ func (c *Channel) earliestPending() (Time, bool) {
 
 // SyncStats are the group's synchronization counters.
 //
-// Epochs and Crossings are deterministic for a given (seed, shard count,
-// mode): Epochs counts group-wide synchronization points (one per epoch
-// barrier under SyncEpoch; one per Run/RunUntil dispatch-join under
-// SyncChannel — the asynchronous engine has no barriers inside a run), and
-// Crossings counts shard-crossing deliveries drained. Drains (mailbox
-// sweeps that moved at least one crossing) and MaxIdleParks (the largest
-// per-shard count of idle waits, where a shard had nothing to do until an
-// upstream clock advanced) depend on goroutine scheduling when shards run
-// in parallel; with Parallel=false they are deterministic too.
+// Epochs and Crossings are deterministic for a given (seed, shard count):
+// Epochs counts group-wide synchronization points — one per RunUntil
+// fork-join, since shards never rendezvous inside a run — and Crossings
+// counts shard-crossing deliveries drained. Drains (mailbox sweeps that
+// moved at least one crossing) and MaxIdleParks (the largest per-shard
+// count of idle waits, where a shard had nothing to do until an upstream
+// clock advanced) depend on goroutine scheduling when shards run in
+// parallel; with Parallel=false they are deterministic too.
 type SyncStats struct {
-	Mode         SyncMode
 	Epochs       uint64
 	Crossings    uint64
 	Drains       uint64
@@ -276,15 +231,14 @@ type SyncStats struct {
 }
 
 // padCounter is a cache-line-padded per-shard counter; each is written by
-// exactly one goroutine at a time (the shard's worker, or the coordinator
-// at a barrier).
+// exactly one goroutine at a time (the goroutine running its shard).
 type padCounter struct {
 	v uint64
 	_ [56]byte
 }
 
 // shardClock is a shard's published virtual clock, padded to its own cache
-// line. Workers publish after every quantum; downstream shards read it to
+// line. Each shard publishes after every quantum; downstream shards read it to
 // compute their per-channel horizon. The atomic establishes the
 // happens-before edge that makes mailbox contents pushed before the
 // publish visible to a drain that observed the published value.

@@ -9,25 +9,20 @@
 // every shard-crossing link is a lock-free single-producer/single-consumer
 // Channel, each shard independently advances to its per-channel lookahead
 // horizon (the minimum over incoming channels of the source's published
-// clock plus the channel delay) on a persistent worker goroutine, and
-// crossings merge in a deterministic order that makes the drain instant
-// unobservable — so a sharded run produces the same results as a
-// single-engine run of the same seed, on as many cores as there are
-// shards. SyncEpoch selects the global-barrier reference engine, pinned
-// byte-identical to the asynchronous one.
+// clock plus the channel delay) on its own goroutine, and crossings merge
+// in a deterministic order that makes the drain instant unobservable — so
+// a sharded run produces the same results as a single-engine run of the
+// same seed.
 //
-// Pending events live in a pluggable scheduler. The default is a
-// hierarchical timing wheel (wheel.go) with amortized O(1) push/pop; a
-// binary min-heap is retained as the O(log n) reference implementation.
-// Both fire events in identical (firing time, insertion time, sequence)
-// order — the determinism contract every figure in this repository pins —
-// so scheduler choice moves wall-clock time only, never simulated behavior.
+// Pending events live in a hierarchical timing wheel (wheel.go) with
+// amortized O(1) push/pop, firing in (firing time, insertion time,
+// sequence) order — the determinism contract every figure in this
+// repository pins. The package tests hold the wheel to a binary-heap
+// reference and the asynchronous shard engine to a global-epoch reference;
+// both references live only in the tests.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Time is virtual time in nanoseconds since simulation start.
 type Time int64
@@ -78,109 +73,17 @@ type event struct {
 	fn  func()
 }
 
-// scheduler is the engine's pending-event store. Both implementations obey
-// the same contract: pop returns the minimum pending event by (at, ins, seq)
-// and peek its firing time without removing it. The timing wheel (wheel.go)
-// is the default; the binary heap below is retained as the reference
-// implementation, selectable via NewWithScheduler for equivalence testing
-// and as the worst-case-robust fallback.
+// scheduler is the engine's pending-event store: pop returns the minimum
+// pending event by (at, ins, seq) and peek its firing time without removing
+// it. The timing wheel (wheel.go) is the only production implementation;
+// the interface is the seam the binary-heap reference of the equivalence
+// tests plugs into.
 type scheduler interface {
 	push(ev event)
 	pop() event
 	peek() (Time, bool)
 	len() int
 }
-
-// Scheduler selects the engine's pending-event structure.
-type Scheduler uint8
-
-const (
-	// SchedulerWheel is the default: a hierarchical timing wheel with
-	// amortized O(1) scheduling (see wheel.go).
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the reference O(log n) binary min-heap.
-	SchedulerHeap
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	if s == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseScheduler resolves a -scheduler flag value ("wheel" or "heap").
-func ParseScheduler(name string) (Scheduler, error) {
-	switch name {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", name)
-}
-
-// eventHeap is a hand-rolled binary min-heap. container/heap would box every
-// event into an interface on Push — one allocation per scheduled event, paid
-// on every packet transmission — so the sift operations are inlined here.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	return eventLess(&h[i], &h[j])
-}
-
-// push appends the event and restores the heap invariant.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // release the callback/handler for GC
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	return top
-}
-
-// peek returns the earliest pending firing time.
-func (h *eventHeap) peek() (Time, bool) {
-	if len(*h) == 0 {
-		return 0, false
-	}
-	return (*h)[0].at, true
-}
-
-// len returns the number of pending events.
-func (h *eventHeap) len() int { return len(*h) }
 
 // Engine runs events in virtual-time order.
 type Engine struct {
@@ -191,29 +94,9 @@ type Engine struct {
 	stopped bool
 }
 
-// New returns an engine at time zero with a deterministic RNG and the
-// default timing-wheel scheduler.
-func New(seed int64) *Engine { return NewWithScheduler(seed, SchedulerWheel) }
-
-// NewWithScheduler returns an engine using the given pending-event
-// structure. Behavior is identical for either scheduler — the equivalence
-// tests pin it — only the wall-clock cost of scheduling differs.
-func NewWithScheduler(seed int64, s Scheduler) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	if s == SchedulerHeap {
-		e.sched = new(eventHeap)
-	} else {
-		e.sched = newTimingWheel()
-	}
-	return e
-}
-
-// Scheduler reports which pending-event structure the engine runs on.
-func (e *Engine) Scheduler() Scheduler {
-	if _, ok := e.sched.(*eventHeap); ok {
-		return SchedulerHeap
-	}
-	return SchedulerWheel
+// New returns an engine at time zero with a deterministic RNG.
+func New(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: newTimingWheel()}
 }
 
 // Now returns the current virtual time.
@@ -330,10 +213,10 @@ func (e *Engine) RunUntil(deadline Time) int {
 
 // runTo processes events up to deadline — inclusive of events at exactly the
 // deadline when inclusive is true, exclusive otherwise — then advances the
-// clock to the deadline. The exclusive form is the shard-epoch primitive:
-// an epoch ends just before its boundary instant so that deliveries drained
-// from other shards at the barrier can still be ordered among local events
-// of that instant.
+// clock to the deadline. The exclusive form is the shard-horizon
+// primitive: a shard stops just before its horizon instant so that
+// crossings delivering at that instant can still be drained and ordered
+// among its local events.
 func (e *Engine) runTo(deadline Time, inclusive bool) int {
 	n := 0
 	for !e.stopped {
@@ -357,9 +240,9 @@ func (e *Engine) runTo(deadline Time, inclusive bool) int {
 }
 
 // peekTime returns the firing time of the earliest pending event without
-// removing it — the "earliest pending <= deadline" query ShardGroup epochs
-// are built on. Both schedulers answer it cheaply: the heap from its root,
-// the wheel from its occupancy bitmaps and per-bucket minima (no sorting).
+// removing it — the "earliest pending <= deadline" query ShardGroup.Run is
+// built on. The wheel answers it from its occupancy bitmaps and
+// per-bucket minima (no sorting).
 func (e *Engine) peekTime() (Time, bool) { return e.sched.peek() }
 
 // Pending returns the number of scheduled events.

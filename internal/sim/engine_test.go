@@ -252,9 +252,9 @@ func TestScheduleZeroAlloc(t *testing.T) {
 // BenchmarkEngineScheduleHandler measures the raw schedule+fire cycle on
 // both pending-event structures — the heap-vs-wheel engine-core comparison.
 func BenchmarkEngineScheduleHandler(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+	for _, sched := range schedKinds {
 		b.Run(sched.String(), func(b *testing.B) {
-			e := NewWithScheduler(1, sched)
+			e := newEngine(1, sched)
 			r := &recorder{eng: e}
 			r.args = make([]uint64, 0, 2048)
 			r.at = make([]Time, 0, 2048)
@@ -275,9 +275,9 @@ func BenchmarkEngineScheduleHandler(b *testing.B) {
 // transmit/delivery delays with a long-tail of pacing timers over a standing
 // event population — on both schedulers.
 func BenchmarkEngineHotMix(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+	for _, sched := range schedKinds {
 		b.Run(sched.String(), func(b *testing.B) {
-			e := NewWithScheduler(1, sched)
+			e := newEngine(1, sched)
 			r := &recorder{eng: e}
 			r.args = make([]uint64, 0, 4096)
 			r.at = make([]Time, 0, 4096)

@@ -64,8 +64,8 @@ func (c *chaos) schedule(r *rand.Rand, id uint64) {
 // runScript seeds an engine with rootN events, then alternates exclusive
 // and inclusive run segments with barrier-style back-dated crossings in
 // between, optionally stopping mid-run. It returns the full firing trace.
-func runScript(sched Scheduler, seed int64, rootN int, stopAt int) []traceRec {
-	e := NewWithScheduler(seed, sched)
+func runScript(sched schedKind, seed int64, rootN int, stopAt int) []traceRec {
+	e := newEngine(seed, sched)
 	c := &chaos{eng: e}
 	r := rand.New(rand.NewSource(seed * 1013))
 	for i := 0; i < rootN; i++ {
@@ -121,8 +121,8 @@ func diffTraces(t *testing.T, label string, wheel, heap []traceRec) {
 func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
-		w := runScript(SchedulerWheel, seed, 40, 0)
-		h := runScript(SchedulerHeap, seed, 40, 0)
+		w := runScript(schedWheel, seed, 40, 0)
+		h := runScript(schedHeap, seed, 40, 0)
 		if len(w) < 40 {
 			t.Fatalf("%s: only %d events fired — script not exercising the scheduler", label, len(w))
 		}
@@ -136,8 +136,8 @@ func TestSchedulerEquivalenceStop(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
 		diffTraces(t, label,
-			runScript(SchedulerWheel, seed, 30, 50),
-			runScript(SchedulerHeap, seed, 30, 50))
+			runScript(schedWheel, seed, 30, 50),
+			runScript(schedHeap, seed, 30, 50))
 	}
 }
 
@@ -150,8 +150,8 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add(int64(99), uint8(3), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, rootN, stopAt uint8) {
 		n := int(rootN)%64 + 1
-		w := runScript(SchedulerWheel, seed, n, int(stopAt))
-		h := runScript(SchedulerHeap, seed, n, int(stopAt))
+		w := runScript(schedWheel, seed, n, int(stopAt))
+		h := runScript(schedHeap, seed, n, int(stopAt))
 		diffTraces(t, fmt.Sprintf("seed=%d n=%d stop=%d", seed, n, stopAt), w, h)
 	})
 }

@@ -7,36 +7,27 @@ package sim
 // lookahead: nothing a shard does at virtual time t can affect another
 // shard before t + the channel's delay.
 //
-// Two synchronization algorithms share this machinery (SyncMode):
+// Synchronization is asynchronous and CMB-style: each shard independently
+// advances to the minimum over its incoming channels of (source-shard
+// published clock + channel delay), draining that channel's lock-free
+// mailbox incrementally as it goes. Shards never rendezvous inside a run —
+// the only group-wide sync points are the fork and join of the run itself —
+// so a shard pair joined only by slow links never throttles the rest.
 //
-//   - SyncChannel (default) is asynchronous and CMB-style: each shard
-//     independently advances to the minimum over its incoming channels of
-//     (source-shard published clock + channel delay), draining that
-//     channel's lock-free mailbox incrementally as it goes. Shards never
-//     rendezvous inside a run — the only group-wide sync points are the
-//     dispatch and join of the run itself — so a shard pair joined only by
-//     slow links never throttles the rest.
-//   - SyncEpoch is the global-epoch reference: shards advance in lockstep
-//     windows bounded by the group-wide minimum channel delay, with a full
-//     barrier and mailbox drain per epoch. It exists as the measurable
-//     baseline for the sync counters (SyncStats), the way the binary heap
-//     backs the timing wheel.
+// Every crossing carries a deterministic event key — (high bit, source
+// shard, channel, FIFO index) in the seq field, ordered after same-(at,
+// ins) local events — so the instant a mailbox happens to be drained is
+// unobservable (see Engine.scheduleCrossing and crossKey). Determinism
+// therefore does not depend on goroutine scheduling: for a given seed and
+// shard count, results are reproducible and match the single-engine run
+// except for the measure-zero case of two causally unrelated events in
+// different shards colliding on both firing and insertion instants. The
+// package tests pin the engine byte-identical to a global-epoch barrier
+// reference (shard_ref_test.go).
 //
-// Both produce byte-identical simulations, and both match the old
-// single-threaded barrier merge: every crossing carries a deterministic
-// event key — (high bit, source shard, channel, FIFO index) in the seq
-// field, ordered after same-(at, ins) local events — so the instant a
-// mailbox happens to be drained is unobservable (see Engine.scheduleCrossing
-// and crossKey). Determinism therefore does not depend on goroutine
-// scheduling: for a given seed and shard count, results are reproducible
-// and match the single-engine run except for the measure-zero case of two
-// causally unrelated events in different shards colliding on both firing
-// and insertion instants.
-//
-// Shard workers are persistent: the first parallel run spawns one goroutine
-// per shard, parked on a command channel between runs, so the per-RunUntil
-// cost of the testbed's epoch-sized run pattern is a channel send and a
-// WaitGroup join, not a spawn.
+// A parallel run forks one goroutine per shard beyond the first (shard 0
+// runs on the caller) and joins them before returning, so no goroutine
+// outlives the RunUntil that started it.
 
 import (
 	"fmt"
@@ -45,74 +36,45 @@ import (
 )
 
 // ShardGroup synchronizes N engines conservatively (see the package
-// comment for the two SyncModes).
+// comment).
 type ShardGroup struct {
-	// Parallel controls whether runs execute shards on the persistent
-	// worker goroutines. Determinism holds either way; sequential runs are
-	// useful to debug, and they make even the scheduling-sensitive
-	// diagnostics in SyncStats deterministic.
+	// Parallel controls whether runs execute shards on their own
+	// goroutines. Determinism holds either way; sequential runs are useful
+	// to debug, and they make even the scheduling-sensitive diagnostics in
+	// SyncStats deterministic.
 	Parallel bool
 
-	// Mode selects the synchronization algorithm. Switching between runs
-	// is allowed; simulated behavior is identical in both modes.
-	Mode SyncMode
-
-	st *groupState
-}
-
-// groupState is everything the persistent shard workers touch. It is split
-// from ShardGroup so worker goroutines hold no reference to the group
-// itself: when the group becomes unreachable its finalizer closes the
-// command channels and the workers exit, instead of leaking one parked
-// goroutine per shard per group a test suite ever created.
-type groupState struct {
 	engines  []*Engine
 	channels []*Channel
 	in       [][]*Channel // incoming channels per destination shard
 	down     [][]int      // downstream shards per source shard (dedup)
 
-	// lookahead is the group-wide minimum channel delay (the SyncEpoch
-	// window); minIn is the per-shard minimum incoming delay. Both are
-	// maintained by AddChannel — deriving them per run was measurable
-	// overhead in the old epoch engine.
+	// lookahead is the group-wide minimum channel delay; minIn is the
+	// per-shard minimum incoming delay. Both are maintained by AddChannel.
 	lookahead Time
 	minIn     []Time
 
-	// clocks are the per-shard published virtual clocks the asynchronous
-	// engine computes its per-channel horizons from; wake holds one sticky
-	// wake token per shard (capacity 1, non-blocking sends), so a shard
-	// that parks after an upstream publish still observes it.
+	// clocks are the per-shard published virtual clocks each shard
+	// computes its per-channel horizon from; wake holds one sticky wake
+	// token per shard (capacity 1, non-blocking sends), so a shard that
+	// parks after an upstream publish still observes it.
 	clocks []shardClock
 	wake   []chan struct{}
 
-	// Persistent worker plumbing, spawned on the first parallel run.
-	cmds   []chan workerCmd
+	// Fork-join plumbing for parallel runs.
 	wg     sync.WaitGroup
 	counts []int
 
-	// Sync counters (see SyncStats). epochs is coordinator-owned; the
-	// per-shard arrays are each written by one goroutine at a time.
+	// Sync counters (see SyncStats). epochs is caller-owned; the per-shard
+	// arrays are each written by one goroutine at a time.
 	epochs    uint64
 	crossings []padCounter
 	drains    []padCounter
 	parks     []padCounter
 
-	// seqDone is scratch for the sequential asynchronous loop.
+	// seqDone is scratch for the sequential run loop.
 	seqDone []bool
 }
-
-// workerCmd is one run-quantum request to a persistent shard worker.
-type workerCmd struct {
-	kind      uint8
-	deadline  Time
-	inclusive bool
-}
-
-const (
-	cmdEpoch  uint8 = iota // runTo(deadline, inclusive)
-	cmdRunAll              // Engine.Run (epoch mode with no channels)
-	cmdAsync               // asynchronous per-channel-lookahead loop
-)
 
 // NewShardGroup creates a group over the given engines. Engines are indexed
 // by shard number; boundary channels are registered as the topology is
@@ -123,7 +85,8 @@ func NewShardGroup(engines []*Engine) *ShardGroup {
 			len(engines), maxKeyShards))
 	}
 	n := len(engines)
-	st := &groupState{
+	g := &ShardGroup{
+		Parallel:  runtime.GOMAXPROCS(0) > 1,
 		engines:   engines,
 		in:        make([][]*Channel, n),
 		down:      make([][]int, n),
@@ -136,84 +99,78 @@ func NewShardGroup(engines []*Engine) *ShardGroup {
 		parks:     make([]padCounter, n),
 		seqDone:   make([]bool, n),
 	}
-	for i := range st.wake {
-		st.wake[i] = make(chan struct{}, 1)
+	for i := range g.wake {
+		g.wake[i] = make(chan struct{}, 1)
 	}
-	return &ShardGroup{
-		Parallel: runtime.GOMAXPROCS(0) > 1,
-		st:       st,
-	}
+	return g
 }
 
 // Engines returns the per-shard engines.
-func (g *ShardGroup) Engines() []*Engine { return g.st.engines }
+func (g *ShardGroup) Engines() []*Engine { return g.engines }
 
 // AddChannel registers a directed shard-crossing channel with the given
 // propagation delay (its lookahead contribution) and returns it; the
 // source shard parks crossings with Channel.Send.
 func (g *ShardGroup) AddChannel(src, dst int, delay Time) *Channel {
-	st := g.st
-	if src < 0 || src >= len(st.engines) || dst < 0 || dst >= len(st.engines) {
+	if src < 0 || src >= len(g.engines) || dst < 0 || dst >= len(g.engines) {
 		panic(fmt.Sprintf("sim: boundary channel shards (%d->%d) out of range", src, dst))
 	}
 	if delay <= 0 {
 		panic("sim: boundary channel needs positive propagation delay for lookahead")
 	}
-	if len(st.channels) >= maxKeyChannels {
-		panic(fmt.Sprintf("sim: %d boundary channels exceed the crossing-key limit", len(st.channels)))
+	if len(g.channels) >= maxKeyChannels {
+		panic(fmt.Sprintf("sim: %d boundary channels exceed the crossing-key limit", len(g.channels)))
 	}
-	c := &Channel{st: st, idx: len(st.channels), src: src, dst: dst, delay: delay}
+	c := &Channel{g: g, idx: len(g.channels), src: src, dst: dst, delay: delay}
 	c.q.Init()
-	st.channels = append(st.channels, c)
-	st.in[dst] = append(st.in[dst], c)
+	g.channels = append(g.channels, c)
+	g.in[dst] = append(g.in[dst], c)
 	known := false
-	for _, d := range st.down[src] {
+	for _, d := range g.down[src] {
 		if d == dst {
 			known = true
 			break
 		}
 	}
 	if !known {
-		st.down[src] = append(st.down[src], dst)
+		g.down[src] = append(g.down[src], dst)
 	}
-	if st.lookahead == 0 || delay < st.lookahead {
-		st.lookahead = delay
+	if g.lookahead == 0 || delay < g.lookahead {
+		g.lookahead = delay
 	}
-	if st.minIn[dst] == 0 || delay < st.minIn[dst] {
-		st.minIn[dst] = delay
+	if g.minIn[dst] == 0 || delay < g.minIn[dst] {
+		g.minIn[dst] = delay
 	}
 	return c
 }
 
 // NumChannels returns the number of registered crossing channels.
-func (g *ShardGroup) NumChannels() int { return len(g.st.channels) }
+func (g *ShardGroup) NumChannels() int { return len(g.channels) }
 
 // Lookahead returns the group-wide conservative window: the minimum
 // propagation delay over all boundary channels, or 0 if there are none
-// (shards are then fully independent). Cached at registration — the old
-// engine re-derived it on every run.
-func (g *ShardGroup) Lookahead() Time { return g.st.lookahead }
+// (shards are then fully independent). Cached at registration.
+func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // MinIncomingDelay returns shard's per-channel lookahead floor — the
 // minimum delay over its incoming channels — and whether it has any. The
-// asynchronous engine advances each shard at least this far beyond the
-// slowest upstream clock, which is never less than the global Lookahead
-// and usually more: that inequality is what the per-channel engine buys.
+// engine advances each shard at least this far beyond the slowest upstream
+// clock, which is never less than the global Lookahead and usually more:
+// that inequality is what per-channel lookahead buys over a global window.
 func (g *ShardGroup) MinIncomingDelay(shard int) (Time, bool) {
-	d := g.st.minIn[shard]
+	d := g.minIn[shard]
 	return d, d > 0
 }
 
 // Stats returns the group's synchronization counters. Call between runs
-// (counters are written by shard workers while a run is in flight).
+// (counters are written by shard goroutines while a run is in flight).
 func (g *ShardGroup) Stats() SyncStats {
-	st := g.st
-	s := SyncStats{Mode: g.Mode, Epochs: st.epochs}
-	for i := range st.engines {
-		s.Crossings += st.crossings[i].v
-		s.Drains += st.drains[i].v
-		if st.parks[i].v > s.MaxIdleParks {
-			s.MaxIdleParks = st.parks[i].v
+	s := SyncStats{Epochs: g.epochs}
+	for i := range g.engines {
+		s.Crossings += g.crossings[i].v
+		s.Drains += g.drains[i].v
+		if g.parks[i].v > s.MaxIdleParks {
+			s.MaxIdleParks = g.parks[i].v
 		}
 	}
 	return s
@@ -223,7 +180,7 @@ func (g *ShardGroup) Stats() SyncStats {
 // engines share it at the end of every RunUntil).
 func (g *ShardGroup) Now() Time {
 	var t Time
-	for _, e := range g.st.engines {
+	for _, e := range g.engines {
 		if e.Now() > t {
 			t = e.Now()
 		}
@@ -235,10 +192,10 @@ func (g *ShardGroup) Now() Time {
 // crossings parked in channel mailboxes. Call between runs.
 func (g *ShardGroup) Pending() int {
 	n := 0
-	for _, e := range g.st.engines {
+	for _, e := range g.engines {
 		n += e.Pending()
 	}
-	for _, c := range g.st.channels {
+	for _, c := range g.channels {
 		n += c.q.Avail()
 	}
 	return n
@@ -251,7 +208,7 @@ func (g *ShardGroup) Pending() int {
 func (g *ShardGroup) earliest() (Time, bool) {
 	var min Time
 	found := false
-	for _, e := range g.st.engines {
+	for _, e := range g.engines {
 		if e.stopped {
 			continue
 		}
@@ -264,11 +221,11 @@ func (g *ShardGroup) earliest() (Time, bool) {
 
 // earliestAnywhere extends earliest with crossings still parked in
 // mailboxes (skipping channels into stopped shards, whose deliveries would
-// never fire). Call between run quanta, with all workers parked.
+// never fire). Call between runs.
 func (g *ShardGroup) earliestAnywhere() (Time, bool) {
 	min, found := g.earliest()
-	for _, c := range g.st.channels {
-		if g.st.engines[c.dst].stopped {
+	for _, c := range g.channels {
+		if g.engines[c.dst].stopped {
 			continue
 		}
 		if t, ok := c.earliestPending(); ok && (!found || t < min) {
@@ -281,7 +238,7 @@ func (g *ShardGroup) earliestAnywhere() (Time, bool) {
 // advanceAll moves every running engine clock forward to t (never
 // backward; stopped engines keep their clocks, like Engine.RunUntil).
 func (g *ShardGroup) advanceAll(t Time) {
-	for _, e := range g.st.engines {
+	for _, e := range g.engines {
 		if !e.stopped && e.now < t {
 			e.now = t
 		}
@@ -290,51 +247,36 @@ func (g *ShardGroup) advanceAll(t Time) {
 
 // publish raises shard i's published clock to t (monotone) — the value
 // downstream shards compute their horizons from. Producer-exclusive per
-// shard: only i's worker (or the coordinator between runs) calls it.
-func (st *groupState) publish(i int, t Time) {
-	if Time(st.clocks[i].v.Load()) < t {
-		st.clocks[i].v.Store(int64(t))
+// shard: only the goroutine running shard i (or the caller between runs)
+// calls it.
+func (g *ShardGroup) publish(i int, t Time) {
+	if Time(g.clocks[i].v.Load()) < t {
+		g.clocks[i].v.Store(int64(t))
 	}
 }
 
 // notify nudges every shard downstream of i: a sticky token per shard, so
 // a consumer that checked its horizon before this publish and parks after
 // it still wakes. Non-blocking — an already-pending token is enough.
-func (st *groupState) notify(i int) {
-	for _, d := range st.down[i] {
+func (g *ShardGroup) notify(i int) {
+	for _, d := range g.down[i] {
 		select {
-		case st.wake[d] <- struct{}{}:
+		case g.wake[d] <- struct{}{}:
 		default:
 		}
 	}
 }
 
-// syncClocks aligns published clocks with the engines before an
-// asynchronous run (engines may have advanced under the other mode, or
-// via advanceAll, since the last publish).
-func (st *groupState) syncClocks() {
-	for i, e := range st.engines {
-		st.publish(i, e.now)
+// syncClocks aligns published clocks with the engines before a run: an
+// engine advanced outside the group since its last publish would otherwise
+// hold its downstream shards to a stale, needlessly short horizon.
+func (g *ShardGroup) syncClocks() {
+	for i, e := range g.engines {
+		g.publish(i, e.now)
 	}
 }
 
-// drainAll empties every channel mailbox into the destination engines —
-// the SyncEpoch barrier drain. Runs on the coordinator with all workers
-// parked, so it is the consumer of every mailbox; the crossings' keys make
-// any drain order correct.
-func (st *groupState) drainAll() {
-	for _, c := range st.channels {
-		if c.q.Avail() == 0 {
-			continue
-		}
-		if c.drainInto(st.engines[c.dst]) > 0 {
-			st.drains[c.dst].v++
-		}
-	}
-}
-
-// step runs one conservative quantum for shard i under the asynchronous
-// engine: snapshot the incoming clocks, drain what is visible, then run to
+// step runs one conservative quantum for shard i: snapshot the incoming clocks, drain what is visible, then run to
 // the per-channel horizon. It returns events processed, whether the shard
 // completed the run (reached the deadline, or stopped), and whether any
 // progress was made.
@@ -343,30 +285,30 @@ func (st *groupState) drainAll() {
 // drain was emitted at or after its source's snapshot clock, so its
 // delivery time is at or beyond the horizon computed here — running to
 // that horizon exclusively can never miss it.
-func (st *groupState) step(i int, deadline Time) (n int, done, progress bool) {
-	e := st.engines[i]
+func (g *ShardGroup) step(i int, deadline Time) (n int, done, progress bool) {
+	e := g.engines[i]
 	if e.stopped {
 		// A stopped shard abandons its events, but its clock must still
 		// reach the deadline for downstream horizons — publish it, or every
 		// shard it feeds would stall forever.
-		st.publish(i, deadline)
-		st.notify(i)
+		g.publish(i, deadline)
+		g.notify(i)
 		return 0, true, true
 	}
 	horizon := Time(0)
 	bounded := false
-	for _, c := range st.in[i] {
-		t := Time(st.clocks[c.src].v.Load()) + c.delay
+	for _, c := range g.in[i] {
+		t := Time(g.clocks[c.src].v.Load()) + c.delay
 		if !bounded || t < horizon {
 			horizon, bounded = t, true
 		}
 	}
 	drained := 0
-	for _, c := range st.in[i] {
+	for _, c := range g.in[i] {
 		drained += c.drainInto(e)
 	}
 	if drained > 0 {
-		st.drains[i].v++
+		g.drains[i].v++
 		progress = true
 	}
 	if !bounded || horizon > deadline {
@@ -374,8 +316,8 @@ func (st *groupState) step(i int, deadline Time) (n int, done, progress bool) {
 		// still invisible delivers at or beyond the horizon): finish the
 		// run inclusively.
 		n = e.runTo(deadline, true)
-		st.publish(i, deadline)
-		st.notify(i)
+		g.publish(i, deadline)
+		g.notify(i)
 		return n, true, true
 	}
 	if horizon > e.now {
@@ -383,62 +325,61 @@ func (st *groupState) step(i int, deadline Time) (n int, done, progress bool) {
 		// exactly that instant and must be drained first.
 		n = e.runTo(horizon, false)
 		if e.stopped {
-			st.publish(i, deadline)
+			g.publish(i, deadline)
 		} else {
-			st.publish(i, horizon)
+			g.publish(i, horizon)
 		}
-		st.notify(i)
+		g.notify(i)
 		return n, e.stopped, true
 	}
 	return 0, false, progress
 }
 
-// asyncWorker is the persistent worker's asynchronous run loop: quanta
-// until done, parking on the wake token when no upstream clock permits
+// asyncWorker is one shard's run loop on a parallel run: quanta until done, parking on the wake token when no upstream clock permits
 // progress. Liveness: the globally minimum running clock always has a
 // horizon strictly beyond itself (all delays are positive), so some shard
 // can always advance, and every publish notifies its downstream shards.
-func (st *groupState) asyncWorker(i int, deadline Time) int {
+func (g *ShardGroup) asyncWorker(i int, deadline Time) int {
 	n := 0
 	var idle uint64
 	for {
-		ev, done, progress := st.step(i, deadline)
+		ev, done, progress := g.step(i, deadline)
 		n += ev
 		if done {
 			break
 		}
 		if !progress {
 			idle++
-			<-st.wake[i]
+			<-g.wake[i]
 		}
 	}
 	if idle > 0 {
-		st.parks[i].v += idle
+		g.parks[i].v += idle
 	}
 	return n
 }
 
-// seqAsync is the asynchronous engine on the caller's goroutine
-// (Parallel=false): deterministic round-robin quanta. A shard that cannot
-// advance counts an idle quantum, mirroring the parallel workers' parks.
-func (st *groupState) seqAsync(deadline Time) int {
+// seqAsync is the run loop on the caller's goroutine (Parallel=false):
+// deterministic round-robin quanta. A shard that cannot advance counts an
+// idle quantum, mirroring the parallel loop's parks.
+func (g *ShardGroup) seqAsync(deadline Time) int {
 	n, doneCount := 0, 0
-	for i := range st.seqDone {
-		st.seqDone[i] = false
+	for i := range g.seqDone {
+		g.seqDone[i] = false
 	}
-	for doneCount < len(st.engines) {
+	for doneCount < len(g.engines) {
 		progressed := false
-		for i := range st.engines {
-			if st.seqDone[i] {
+		for i := range g.engines {
+			if g.seqDone[i] {
 				continue
 			}
-			ev, done, progress := st.step(i, deadline)
+			ev, done, progress := g.step(i, deadline)
 			n += ev
 			if done {
-				st.seqDone[i] = true
+				g.seqDone[i] = true
 				doneCount++
 			} else if !progress {
-				st.parks[i].v++
+				g.parks[i].v++
 			}
 			if done || progress {
 				progressed = true
@@ -451,136 +392,43 @@ func (st *groupState) seqAsync(deadline Time) int {
 	return n
 }
 
-// ensureWorkers spawns the persistent per-shard worker goroutines once.
-// They park on their command channels between runs; a finalizer on the
-// group closes the channels when the group becomes unreachable, so worker
-// goroutines live exactly as long as their group.
-func (g *ShardGroup) ensureWorkers() {
-	st := g.st
-	if st.cmds != nil {
-		return
-	}
-	st.cmds = make([]chan workerCmd, len(st.engines))
-	for i := range st.engines {
-		ch := make(chan workerCmd, 1)
-		st.cmds[i] = ch
-		go func(i int, e *Engine, ch chan workerCmd) {
-			for cmd := range ch {
-				switch cmd.kind {
-				case cmdEpoch:
-					st.counts[i] = e.runTo(cmd.deadline, cmd.inclusive)
-				case cmdRunAll:
-					st.counts[i] = e.Run()
-				case cmdAsync:
-					st.counts[i] = st.asyncWorker(i, cmd.deadline)
-				}
-				st.wg.Done()
-			}
-		}(i, st.engines[i], ch)
-	}
-	runtime.SetFinalizer(g, func(fg *ShardGroup) {
-		for _, ch := range fg.st.cmds {
-			close(ch)
-		}
-	})
-}
-
-// dispatch runs one command on every shard — on the persistent workers
-// when parallel, inline otherwise — and returns the events processed.
-func (g *ShardGroup) dispatch(cmd workerCmd) int {
-	st := g.st
-	if g.Parallel && len(st.engines) > 1 {
-		g.ensureWorkers()
-		st.wg.Add(len(st.cmds))
-		for _, ch := range st.cmds {
-			ch <- cmd
-		}
-		st.wg.Wait()
-		n := 0
-		for _, c := range st.counts {
-			n += c
-		}
-		return n
-	}
-	if cmd.kind == cmdAsync {
-		return st.seqAsync(cmd.deadline)
-	}
-	n := 0
-	for _, e := range st.engines {
-		if cmd.kind == cmdRunAll {
-			n += e.Run()
-		} else {
-			n += e.runTo(cmd.deadline, cmd.inclusive)
-		}
-	}
-	return n
-}
-
 // RunUntil advances the whole group to the deadline: every event with
 // timestamp <= deadline in every shard is processed, crossings included,
 // and every engine clock ends at the deadline. It returns the number of
 // events processed, which matches what a single merged engine would report.
 func (g *ShardGroup) RunUntil(deadline Time) int {
-	if g.Mode == SyncEpoch {
-		return g.runUntilEpoch(deadline)
-	}
-	st := g.st
-	// The dispatch-join below is the asynchronous engine's only group-wide
-	// synchronization point: shards coordinate pairwise through published
-	// clocks, never all-stop.
-	st.epochs++
-	st.syncClocks()
-	n := g.dispatch(workerCmd{kind: cmdAsync, deadline: deadline})
-	g.advanceAll(deadline)
-	return n
-}
-
-// runUntilEpoch is RunUntil under the global-epoch reference engine: the
-// classic conservative window loop, one barrier drain per epoch.
-func (g *ShardGroup) runUntilEpoch(deadline Time) int {
-	st := g.st
-	la := st.lookahead
-	n := 0
-	for {
-		st.drainAll()
-		next, ok := g.earliest()
-		if !ok || next > deadline {
-			break
+	// The fork-join below is the run's only group-wide synchronization
+	// point: shards coordinate pairwise through published clocks.
+	g.epochs++
+	g.syncClocks()
+	var n int
+	if g.Parallel && len(g.engines) > 1 {
+		g.wg.Add(len(g.engines) - 1)
+		for i := 1; i < len(g.engines); i++ {
+			go func(i int) {
+				g.counts[i] = g.asyncWorker(i, deadline)
+				g.wg.Done()
+			}(i)
 		}
-		st.epochs++
-		if la == 0 {
-			// No channels: shards are independent; one inclusive epoch.
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: deadline, inclusive: true})
-			continue
+		g.counts[0] = g.asyncWorker(0, deadline)
+		g.wg.Wait()
+		for _, c := range g.counts {
+			n += c
 		}
-		// The epoch may extend a full lookahead past the first pending
-		// event: nothing can be emitted before that event fires, so no
-		// crossing can deliver before next+la. An epoch boundary falling
-		// exactly on the deadline still runs exclusive: a crossing can
-		// deliver at that very instant and must be drained before any shard
-		// processes it. Only when no crossing can land at or before the
-		// deadline (next+la > deadline) is the final inclusive epoch safe.
-		if end := next + la; end <= deadline {
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: end})
-		} else {
-			n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: deadline, inclusive: true})
-		}
+	} else {
+		n = g.seqAsync(deadline)
 	}
 	g.advanceAll(deadline)
 	return n
 }
 
 // Run processes events until no shard has any left and all mailboxes are
-// empty, then aligns every engine clock to the time of the last event. It
-// returns the number of events processed.
+// empty. It returns the number of events processed.
 func (g *ShardGroup) Run() int {
-	if g.Mode == SyncEpoch {
-		return g.runEpochAll()
-	}
-	// Asynchronous full drain: rounds of RunUntil to the next pending
-	// instant anywhere (scheduled or still parked in a mailbox). Each round
-	// is one dispatch-join; the tail of a drained simulation is short, so
-	// the rendezvous cost stays negligible.
+	// Full drain: rounds of RunUntil to the next pending instant anywhere
+	// (scheduled or still parked in a mailbox). Each round is one
+	// fork-join; the tail of a drained simulation is short, so the
+	// rendezvous cost stays negligible.
 	n := 0
 	for {
 		t, ok := g.earliestAnywhere()
@@ -589,30 +437,5 @@ func (g *ShardGroup) Run() int {
 		}
 		n += g.RunUntil(t)
 	}
-	return n
-}
-
-// runEpochAll is Run under the global-epoch reference engine.
-func (g *ShardGroup) runEpochAll() int {
-	st := g.st
-	la := st.lookahead
-	n := 0
-	for {
-		st.drainAll()
-		next, ok := g.earliest()
-		if !ok {
-			break
-		}
-		st.epochs++
-		if la == 0 {
-			n += g.dispatch(workerCmd{kind: cmdRunAll})
-			continue
-		}
-		n += g.dispatch(workerCmd{kind: cmdEpoch, deadline: next + la})
-	}
-	// Align every clock to the group's end time; unlike Engine.Run, the
-	// epoch engine's clocks end epoch-aligned rather than exactly at the
-	// last event's timestamp.
-	g.advanceAll(g.Now())
 	return n
 }

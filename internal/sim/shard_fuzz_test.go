@@ -1,9 +1,8 @@
 package sim
 
-// Shard-sync equivalence guards: the asynchronous per-channel engine
-// (SyncChannel), the global-epoch reference (SyncEpoch), both schedulers,
-// and parallel vs sequential execution must all produce identical
-// simulations. Random sharded scenarios — random channel graphs with
+// Shard-sync equivalence guards: the asynchronous per-channel engine, the
+// global-epoch reference (shard_ref_test.go), both schedulers, and parallel
+// vs sequential execution must all produce identical simulations. Random sharded scenarios — random channel graphs with
 // heterogeneous delays, cross-shard bounce chains, same-instant collisions,
 // and a mid-run shard Stop — are replayed under every configuration and
 // the per-shard delivery traces compared. CI runs the corpus under -race,
@@ -37,15 +36,14 @@ func (s *shardSink) Handle(arg uint64) {
 // runShardScript builds one deterministic sharded scenario from the fuzz
 // inputs and returns the concatenated per-shard delivery traces plus the
 // total event count.
-func runShardScript(sched Scheduler, mode SyncMode, parallel bool, seed int64, shards, events int, stopShard int) ([]string, int) {
+func runShardScript(sched schedKind, mode syncMode, parallel bool, seed int64, shards, events int, stopShard int) ([]string, int) {
 	r := rand.New(rand.NewSource(seed * 7919))
 	engines := make([]*Engine, shards)
 	for i := range engines {
-		engines[i] = NewWithScheduler(seed+int64(i), sched)
+		engines[i] = newEngine(seed+int64(i), sched)
 	}
 	g := NewShardGroup(engines)
 	g.Parallel = parallel
-	g.Mode = mode
 
 	logs := make([][]string, shards)
 	sinks := make([]*shardSink, shards)
@@ -107,9 +105,9 @@ func runShardScript(sched Scheduler, mode SyncMode, parallel bool, seed int64, s
 	deadline := Time(0)
 	for seg := 0; seg < 3; seg++ {
 		deadline += Time(60 + r.Int63n(200))
-		n += g.RunUntil(deadline)
+		n += mode.runUntil(g, deadline)
 	}
-	n += g.Run() // drain remaining bounce chains
+	n += mode.run(g) // drain remaining bounce chains
 
 	var all []string
 	for i, l := range logs {
@@ -125,17 +123,18 @@ func checkShardEquivalence(t *testing.T, seed int64, shards, events, stopShard i
 	t.Helper()
 	type cfg struct {
 		name     string
-		sched    Scheduler
-		mode     SyncMode
+		sched    schedKind
+		mode     syncMode
 		parallel bool
 	}
+	// The epoch reference is sequential, so only the channel engine has a
+	// parallel row.
 	cfgs := []cfg{
-		{"wheel/epoch/seq", SchedulerWheel, SyncEpoch, false},
-		{"heap/epoch/seq", SchedulerHeap, SyncEpoch, false},
-		{"wheel/channel/seq", SchedulerWheel, SyncChannel, false},
-		{"heap/channel/seq", SchedulerHeap, SyncChannel, false},
-		{"wheel/channel/par", SchedulerWheel, SyncChannel, true},
-		{"wheel/epoch/par", SchedulerWheel, SyncEpoch, true},
+		{"wheel/epoch/seq", schedWheel, syncEpoch, false},
+		{"heap/epoch/seq", schedHeap, syncEpoch, false},
+		{"wheel/channel/seq", schedWheel, syncChannel, false},
+		{"heap/channel/seq", schedHeap, syncChannel, false},
+		{"wheel/channel/par", schedWheel, syncChannel, true},
 	}
 	refTrace, refN := runShardScript(cfgs[0].sched, cfgs[0].mode, cfgs[0].parallel, seed, shards, events, stopShard)
 	for _, c := range cfgs[1:] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // crossSink records crossing deliveries; the int payload travels in the
@@ -21,12 +22,11 @@ func (s *crossSink) Handle(arg uint64) {
 // 10 ns-lookahead channel and checks delivery times and determinism, under
 // both sync modes and both execution modes.
 func TestShardGroupCrossing(t *testing.T) {
-	run := func(parallel bool, mode SyncMode) []string {
+	run := func(parallel bool, mode syncMode) []string {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = parallel
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		g.AddChannel(1, 0, 10)
 		sink1 := &crossSink{eng: e1, log: &log}
@@ -37,12 +37,12 @@ func TestShardGroupCrossing(t *testing.T) {
 		// A local shard-1 event at the exact arrival instant of value 100,
 		// inserted earlier in virtual time (ins=0): must fire before it.
 		e1.At(15, func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) })
-		g.RunUntil(40)
+		mode.runUntil(g, 40)
 		return log
 	}
 
 	want := []string{"local @15", "recv 100 @15", "recv 200 @17"}
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		seq := run(false, mode)
 		if fmt.Sprint(seq) != fmt.Sprint(want) {
 			t.Fatalf("%v sequential crossing log = %v, want %v", mode, seq, want)
@@ -56,12 +56,11 @@ func TestShardGroupCrossing(t *testing.T) {
 // TestShardGroupMergeOrder drains simultaneous crossings from two source
 // shards and checks the deterministic (at, ins, src, channel, fifo) merge.
 func TestShardGroupMergeOrder(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		var log []string
 		e0, e1, e2 := New(1), New(2), New(3)
 		g := NewShardGroup([]*Engine{e0, e1, e2})
 		g.Parallel = false
-		g.Mode = mode
 		c02 := g.AddChannel(0, 2, 10)
 		c12 := g.AddChannel(1, 2, 10)
 		sink := &crossSink{eng: e2, log: &log}
@@ -72,7 +71,7 @@ func TestShardGroupMergeOrder(t *testing.T) {
 		e1.At(2, func() { c12.Send(e1.Now(), sink, 902) })
 		e0.At(3, func() { c02.Send(e0.Now(), sink, 3) })
 		e1.At(3, func() { c12.Send(e1.Now(), sink, 903) })
-		g.RunUntil(30)
+		mode.runUntil(g, 30)
 
 		want := []string{"recv 902 @12", "recv 3 @13", "recv 903 @13"}
 		if fmt.Sprint(log) != fmt.Sprint(want) {
@@ -86,12 +85,11 @@ func TestShardGroupMergeOrder(t *testing.T) {
 // ordered by insertion stamp against local events of that instant (the
 // drain has to happen before the instant is processed).
 func TestShardGroupDeadlineOnEpochBoundary(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
@@ -102,7 +100,7 @@ func TestShardGroupDeadlineOnEpochBoundary(t *testing.T) {
 		e1.At(10, func() {
 			e1.At(15, func() { log = append(log, fmt.Sprintf("local @%d", e1.Now())) })
 		})
-		g.RunUntil(15) // deadline == 5 + lookahead: horizon lands on the deadline
+		mode.runUntil(g, 15) // deadline == 5 + lookahead: horizon lands on the deadline
 		want := []string{"recv 1 @15", "local @15"}
 		if fmt.Sprint(log) != fmt.Sprint(want) {
 			t.Fatalf("%v deadline-on-boundary order = %v, want %v", mode, log, want)
@@ -130,12 +128,11 @@ func TestShardGroupRunIndependent(t *testing.T) {
 // livelock the group loop — its remaining events are abandoned (as with
 // Engine.Run after Stop) while other shards keep running to the deadline.
 func TestShardGroupStoppedShard(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		for _, parallel := range []bool{false, true} {
 			e0, e1 := New(1), New(2)
 			g := NewShardGroup([]*Engine{e0, e1})
 			g.Parallel = parallel
-			g.Mode = mode
 			c01 := g.AddChannel(0, 1, 10)
 			var log []string
 			sink := &crossSink{eng: e1, log: &log}
@@ -145,7 +142,7 @@ func TestShardGroupStoppedShard(t *testing.T) {
 			e0.At(5, func() { e0.Stop() })
 			e0.At(6, func() { fired++ }) // never runs: the shard stopped
 			e1.At(8, func() { fired++ })
-			g.RunUntil(20) // must return despite shard 0's abandoned event
+			mode.runUntil(g, 20) // must return despite shard 0's abandoned event
 			if fired != 1 {
 				t.Fatalf("%v parallel=%v: fired = %d, want only shard 1's event", mode, parallel, fired)
 			}
@@ -160,18 +157,17 @@ func TestShardGroupStoppedShard(t *testing.T) {
 // TestShardGroupStoppedDest: crossings parked toward a stopped shard must
 // not hang the full-drain Run loop — they are simply never delivered.
 func TestShardGroupStoppedDest(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
 		e1.At(1, func() { e1.Stop() })
 		e0.At(5, func() { c01.Send(e0.Now(), sink, 42) })
-		g.Run() // must terminate with the crossing undelivered or abandoned
+		mode.run(g) // must terminate with the crossing undelivered or abandoned
 		if fmt.Sprint(log) != "[]" {
 			t.Fatalf("%v: stopped shard delivered crossings: %v", mode, log)
 		}
@@ -196,10 +192,9 @@ func TestShardGroupParallelEmptyRun(t *testing.T) {
 	}
 }
 
-// TestShardGroupNoGoroutineGrowth pins the persistent-worker contract: the
-// testbed pattern of thousands of short RunUntil calls must not spawn a
-// goroutine per call — workers are created once at warm-up and parked
-// between runs.
+// TestShardGroupNoGoroutineGrowth pins the fork-join contract: the testbed
+// pattern of thousands of short RunUntil calls must leave no goroutine
+// behind — each parallel run joins every goroutine it forked.
 func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 	e0, e1 := New(1), New(2)
 	g := NewShardGroup([]*Engine{e0, e1})
@@ -210,14 +205,11 @@ func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 	tick := Time(0)
 	e0.Every(5, 5, func() { c01.Send(e0.Now(), sink, uint64(tick)); tick++ })
 
-	g.RunUntil(10) // warm-up: spawns the two persistent workers
 	base := runtime.NumGoroutine()
-	for d := Time(20); d <= 5000; d += 10 {
+	for d := Time(10); d <= 5000; d += 10 {
 		g.RunUntil(d)
 	}
-	// Other tests' finalized groups may retire workers concurrently, so
-	// only growth is a failure.
-	if now := runtime.NumGoroutine(); now > base {
+	if now := settledGoroutines(base); now > base {
 		t.Fatalf("goroutines grew across RunUntil calls: %d -> %d", base, now)
 	}
 	if len(log) == 0 {
@@ -225,26 +217,58 @@ func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 	}
 }
 
+// TestShardGroupNoWorkerLeak: a dropped group must not pin goroutines even
+// when one of its own pending events reaches it — an app or aggregator
+// holding the network is the everyday case.
+func TestShardGroupNoWorkerLeak(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		e0, e1 := New(1), New(2)
+		g := NewShardGroup([]*Engine{e0, e1})
+		g.Parallel = true
+		g.AddChannel(0, 1, 10)
+		e0.At(100, func() { _ = g.Now() }) // pending past the run below
+		g.RunUntil(10)
+	}
+	if now := settledGoroutines(base); now > base {
+		t.Fatalf("20 dropped two-shard groups left %d goroutines behind", now-base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it falls to base, or
+// after half a second of GCs and sleeps. A joined shard goroutine still
+// counts between its WaitGroup.Done and its exit, so one read right after a
+// run can overshoot.
+func settledGoroutines(base int) int {
+	now := runtime.NumGoroutine()
+	for try := 0; try < 50 && now > base; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		now = runtime.NumGoroutine()
+	}
+	return now
+}
+
 // TestShardGroupResume checks that RunUntil is resumable: crossings parked
 // near a deadline deliver correctly on the next call.
 func TestShardGroupResume(t *testing.T) {
-	for _, mode := range []SyncMode{SyncChannel, SyncEpoch} {
+	for _, mode := range syncModes {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		sink := &crossSink{eng: e1, log: &log}
 
 		e0.At(18, func() { c01.Send(e0.Now(), sink, 7) }) // delivers at 28
-		g.RunUntil(20)
+		mode.runUntil(g, 20)
 		if len(log) != 0 {
 			t.Fatalf("%v: crossing delivered early: %v", mode, log)
 		}
 		if e0.Now() != 20 || e1.Now() != 20 {
 			t.Fatalf("%v: clocks at (%d,%d), want (20,20)", mode, e0.Now(), e1.Now())
 		}
-		g.RunUntil(30)
+		mode.runUntil(g, 30)
 		if want := []string{"recv 7 @28"}; fmt.Sprint(log) != fmt.Sprint(want) {
 			t.Fatalf("%v: after resume log = %v, want %v", mode, log, want)
 		}
@@ -280,15 +304,15 @@ func TestShardGroupLookaheadCached(t *testing.T) {
 	}
 }
 
-// TestShardGroupSyncStats checks the deterministic counters: channel mode
-// must sync far less often than epoch mode on the same workload.
+// TestShardGroupSyncStats checks the deterministic counters: the
+// asynchronous engine must sync far less often than the epoch reference on
+// the same workload.
 func TestShardGroupSyncStats(t *testing.T) {
-	build := func(mode SyncMode) (*ShardGroup, *[]string) {
+	build := func(mode syncMode) (*ShardGroup, *[]string) {
 		var log []string
 		e0, e1 := New(1), New(2)
 		g := NewShardGroup([]*Engine{e0, e1})
 		g.Parallel = false
-		g.Mode = mode
 		c01 := g.AddChannel(0, 1, 10)
 		g.AddChannel(1, 0, 10)
 		sink := &crossSink{eng: e1, log: &log}
@@ -297,10 +321,10 @@ func TestShardGroupSyncStats(t *testing.T) {
 		return g, &log
 	}
 
-	gc, logc := build(SyncChannel)
-	ge, loge := build(SyncEpoch)
-	gc.RunUntil(3000)
-	ge.RunUntil(3000)
+	gc, logc := build(syncChannel)
+	ge, loge := build(syncEpoch)
+	syncChannel.runUntil(gc, 3000)
+	syncEpoch.runUntil(ge, 3000)
 	if fmt.Sprint(*logc) != fmt.Sprint(*loge) {
 		t.Fatalf("modes disagree:\nchannel %v\nepoch   %v", *logc, *loge)
 	}
@@ -309,7 +333,7 @@ func TestShardGroupSyncStats(t *testing.T) {
 		t.Fatalf("crossings: channel %d, epoch %d", sc.Crossings, se.Crossings)
 	}
 	if sc.Epochs != 1 {
-		t.Fatalf("channel mode epochs = %d, want 1 (one dispatch-join)", sc.Epochs)
+		t.Fatalf("channel mode epochs = %d, want 1 (one fork-join)", sc.Epochs)
 	}
 	if se.Epochs < 5*sc.Epochs {
 		t.Fatalf("epoch mode synced only %d times vs channel's %d — counters broken", se.Epochs, sc.Epochs)
@@ -376,7 +400,7 @@ func TestCrossingKeyOrder(t *testing.T) {
 
 // TestSPSC exercises the mailbox queue across segment boundaries and spare
 // recycling (single-threaded: the SPSC contract is per-side single-owner,
-// and the shard runtime's dispatch edges provide the cross-side ordering).
+// and the shard runtime's fork-join edges provide the cross-side ordering).
 func TestSPSC(t *testing.T) {
 	var q SPSC[int]
 	q.Init()

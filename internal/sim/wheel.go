@@ -1,11 +1,11 @@
 package sim
 
-// Hierarchical timing wheel: the engine's default event scheduler. Where the
-// reference binary heap pays O(log n) sift work on every push and pop — two
-// heap operations per simulated packet-hop, the top profile entry at fat-tree
-// scale — the wheel pays amortized O(1): a push indexes straight into a
-// power-of-two bucket, and a pop serves from a small sorted "ready" run
-// refilled one bucket at a time.
+// Hierarchical timing wheel: the engine's event scheduler. Where a binary
+// heap (the reference in heap_test.go) pays O(log n) sift work on every
+// push and pop — two heap operations per simulated packet-hop, the top
+// profile entry at fat-tree scale — the wheel pays amortized O(1): a push
+// indexes straight into a power-of-two bucket, and a pop serves from a
+// small sorted "ready" run refilled one bucket at a time.
 //
 // Layout. Four levels of 64 buckets each over virtual nanoseconds, with
 // level-0 buckets 2.048 µs wide (so the levels span ~131 µs, ~8.4 ms,
@@ -19,21 +19,22 @@ package sim
 // enough that consecutive events batch into one sort-and-serve refill,
 // narrow enough that a bucket's lazy sort stays a short insertion sort.
 //
-// Determinism contract. The wheel is observationally identical to the heap:
-// pop always returns the minimum pending event by the engine's full ordering
-// key (at, ins, seq). Buckets are unordered until consumed; when the base
-// reaches the earliest bucket, its events are sorted lazily by the full key
-// into the ready run. Events scheduled into the currently open ready window
-// — including back-dated scheduleCrossing insertions at epoch barriers,
-// whose ins stamps must land in the same tie-break position a lone engine
-// would have given them — are merge-inserted into the remaining run by the
-// same key. TestSchedulerEquivalence and FuzzSchedulerEquivalence pin the
-// heap/wheel firing-order equivalence over adversarial schedules.
+// Determinism contract. The wheel is observationally identical to the
+// reference heap: pop always returns the minimum pending event by the
+// engine's full ordering key (at, ins, seq). Buckets are unordered until
+// consumed; when the base reaches the earliest bucket, its events are
+// sorted lazily by the full key into the ready run. Events scheduled into
+// the currently open ready window — including back-dated scheduleCrossing
+// insertions drained from shard mailboxes, whose ins stamps must land in
+// the same tie-break position a lone engine would have given them — are
+// merge-inserted into the remaining run by the same key.
+// TestSchedulerEquivalence and FuzzSchedulerEquivalence pin the heap/wheel
+// firing-order equivalence over adversarial schedules.
 //
 // peek answers "earliest pending event time" in O(levels) without sorting
 // anything beyond the one bucket being consumed: each level keeps a 64-bit
-// occupancy bitmap and per-bucket minimum, so ShardGroup.runTo's exclusive
-// epoch deadlines (which query the earliest pending event before every pop)
+// occupancy bitmap and per-bucket minimum, so Engine.runTo's exclusive
+// shard horizons (which query the earliest pending event before every pop)
 // stay cheap.
 
 import (

@@ -100,8 +100,8 @@ func TestWheelOverflowCascade(t *testing.T) {
 // forward-path guards hold end to end.
 func TestWheelZeroAllocSteadyState(t *testing.T) {
 	e := New(1)
-	if e.Scheduler() != SchedulerWheel {
-		t.Fatal("default scheduler is not the wheel")
+	if _, ok := e.sched.(*timingWheel); !ok {
+		t.Fatal("engine does not run on the timing wheel")
 	}
 	r := &recorder{eng: e}
 	for i := 0; i < 512; i++ {

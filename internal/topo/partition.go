@@ -3,9 +3,9 @@ package topo
 // Topology partitioning for sharded parallel simulation. A partition maps
 // every node (in creation order) to a shard; the quality goal is the classic
 // graph-partitioning one — balanced shard sizes with few cut edges — because
-// every cut edge becomes a boundary link whose packets pay a barrier-drain
-// copy, and the minimum cut-edge propagation delay bounds the lookahead
-// epoch. Fat-trees get an exact pod-aligned split (pods only meet at the
+// every cut edge becomes a boundary link whose packets pay a mailbox copy,
+// and the cut edges' propagation delays bound each shard's lookahead.
+// Fat-trees get an exact pod-aligned split (pods only meet at the
 // core, so cutting there is structurally minimal); arbitrary graphs get a
 // min-cut-ish heuristic: BFS-ordered contiguous chunks refined by greedy
 // gain moves.

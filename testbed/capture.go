@@ -16,6 +16,7 @@ package testbed
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 
@@ -31,6 +32,21 @@ import (
 // Trace files are a single time-ordered stream, so both sides are restricted
 // to one shard.
 var ErrShardedCapture = errors.New("testbed: trace capture and replay require a single-shard run")
+
+// fig2Step is the Figure 2 sampling interval: one rate point per step.
+const fig2Step = 250 * Millisecond
+
+// ShortRunError reports a run duration shorter than the runner's sampling
+// step: such a run would end before its first sample, leaving no result.
+type ShortRunError struct {
+	Duration Time // the requested run length
+	Step     Time // the runner's sampling interval
+}
+
+func (e *ShortRunError) Error() string {
+	return fmt.Sprintf("testbed: run duration %g ms is shorter than one %g ms sampling step",
+		e.Duration.Seconds()*1e3, e.Step.Seconds()*1e3)
+}
 
 // switchDests lists the topology's switch NodeIDs so replays accept
 // switch-targeted records (debugging probes address switches directly);
@@ -78,7 +94,10 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 	if (capW != nil || repR != nil) && o.Shards > 1 {
 		return nil, zero, ErrShardedCapture
 	}
-	n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards, Scheduler: o.Scheduler})
+	if duration < fig2Step {
+		return nil, zero, &ShortRunError{Duration: duration, Step: fig2Step}
+	}
+	n := NewNet(SimOpts{Seed: o.Seed + 5, Shards: o.Shards})
 	hosts, _ := n.Chain(100)
 	var sinks [3]*transport.Sink
 	pairs := [3][2]int{{0, 3}, {1, 4}, {2, 5}}
@@ -117,13 +136,12 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 	}
 	var series []Fig2Point
 	var prev [3]uint64
-	step := 250 * Millisecond
-	for at := step; at <= duration; at += step {
+	for at := fig2Step; at <= duration; at += fig2Step {
 		n.RunUntil(at)
 		var pt Fig2Point
 		pt.T = at.Seconds()
 		for i, s := range sinks {
-			pt.Mbps[i] = float64(s.Bytes-prev[i]) * 8 / step.Seconds() / 1e6
+			pt.Mbps[i] = float64(s.Bytes-prev[i]) * 8 / fig2Step.Seconds() / 1e6
 			prev[i] = s.Bytes
 		}
 		series = append(series, pt)
@@ -178,7 +196,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 	if (capW != nil || repR != nil) && o.Shards > 1 {
 		return Fig4Cell{}, ErrShardedCapture
 	}
-	n := NewNet(SimOpts{Seed: o.Seed + 13, Shards: o.Shards, Scheduler: o.Scheduler})
+	n := NewNet(SimOpts{Seed: o.Seed + 13, Shards: o.Shards})
 	hosts, _, _ := n.LeafSpine(100)
 	h0, h1, h2 := hosts[0], hosts[1], hosts[2]
 	sink0 := transport.NewSink(h2, 7100, link.ProtoUDP)

@@ -78,6 +78,25 @@ func TestCaptureRejectsShardedRun(t *testing.T) {
 	}
 }
 
+// TestFig2RejectsShortRun: a Figure 2 run shorter than one sampling step
+// has no rate sample to report, and must say so with a typed error rather
+// than index an empty series.
+func TestFig2RejectsShortRun(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		_, err := RunFig2With(200*Millisecond, SimOpts{Seed: 1, Shards: shards})
+		var short *ShortRunError
+		if !errors.As(err, &short) {
+			t.Fatalf("shards=%d: got %v, want *ShortRunError", shards, err)
+		}
+		if short.Duration != 200*Millisecond || short.Step != 250*Millisecond {
+			t.Fatalf("shards=%d: error carries duration %d, step %d", shards, short.Duration, short.Step)
+		}
+	}
+	if _, err := RunFig2With(250*Millisecond, SimOpts{Seed: 1}); err != nil {
+		t.Fatalf("one-step run: %v", err)
+	}
+}
+
 // TestFig2TraceDecodes checks the captured panel trace is a well-formed
 // telemetry/trace stream (the same file cmd/tppdump decodes).
 func TestFig2TraceDecodes(t *testing.T) {

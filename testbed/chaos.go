@@ -37,14 +37,10 @@ const (
 )
 
 // ChaosConfig parameterizes RunChaos. The zero value is the standard
-// scenario: seed 1, single shard, timing wheel.
+// scenario: seed 1, single shard.
 type ChaosConfig struct {
-	Seed      int64
-	Shards    int
-	Scheduler Scheduler
-	// Sync selects the shard synchronization algorithm; like Scheduler it
-	// never moves the fingerprint (the chaos determinism tests pin it).
-	Sync SyncMode
+	Seed   int64
+	Shards int
 	// MaxRecoveryEpochs bounds how many RCP* control periods (10 ms) after
 	// the restore instant the aggregate rate may take to regain 90% of its
 	// pre-fault baseline (default 60). Exceeding it is an error: the system
@@ -100,8 +96,8 @@ type ChaosResult struct {
 }
 
 // Fingerprint renders every simulated-behavior field — the string two runs
-// with the same seed must agree on byte-for-byte, regardless of shard count
-// or engine scheduler.
+// with the same seed must agree on byte-for-byte, regardless of shard
+// count.
 func (r *ChaosResult) Fingerprint() string {
 	fp := fmt.Sprintf(
 		"base=%.6f floor=%.6f rec=%.6f epochs=%d faults=%+v deaths=%d revives=%d detect=%d missed=%d decays=%d execfail=%d delivered=%d events=%d leaked=%d",
@@ -207,14 +203,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// once and arm through SimOpts by constructing the plan from a throwaway
 	// twin topology. The twin is cheap (no traffic) and keeps NewNet the
 	// single constructor path.
-	twin := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync})
+	twin := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards})
 	twin.FatTree(4, 100)
 	plan, err := chaosPlan(twin, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync, Faults: plan})
+	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Faults: plan})
 	pods := net.FatTree(4, 100)
 
 	res := &ChaosResult{

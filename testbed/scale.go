@@ -49,15 +49,6 @@ type ScaleConfig struct {
 	Seed         int64 // default 1
 	WithTPP      bool  // attach a 2-word/hop telemetry TPP to every data packet
 	Shards       int   // topology shards simulated in parallel (default 1)
-	// Scheduler selects the engine's pending-event structure (default:
-	// timing wheel). Simulated behavior is identical across schedulers —
-	// the determinism guards pin it — only wall-clock metrics move.
-	Scheduler Scheduler
-	// Sync selects the shard synchronization algorithm (default: the
-	// asynchronous per-channel-lookahead engine; SyncEpoch is the
-	// global-barrier reference). Behavior is byte-identical across modes;
-	// the ScaleResult sync counters quantify the synchronization saved.
-	Sync SyncMode
 	// Faults optionally arms a deterministic fault plan on the fat-tree
 	// (see tppnet.WithFaults). Nil keeps the hot path fault-free: the
 	// forwarding cost of an unarmed network is a single nil check, a
@@ -102,22 +93,21 @@ type ScaleResult struct {
 	PoolNews uint64        // pool draws that had to allocate
 
 	// Sharded-sync diagnostics for the measured window (all zero at one
-	// shard). SyncEpochs — group-wide synchronization points entered — and
-	// SyncCrossings — shard-crossing deliveries drained — are deterministic
-	// for a given (seed, shards, sync mode); they are how shard overhead is
-	// diagnosed from committed JSON instead of noisy wall-clock. SyncDrains
-	// (non-empty mailbox sweeps) and SyncIdleMax (largest per-shard count
-	// of idle-wait quanta) depend on goroutine interleaving when shards run
-	// in parallel.
-	Sync          SyncMode
-	SyncEpochs    uint64
+	// shard). SyncPoints — group-wide synchronization points entered, one
+	// per RunUntil — and SyncCrossings — shard-crossing deliveries drained
+	// — are deterministic for a given (seed, shards); they are how shard
+	// overhead is diagnosed from committed JSON instead of noisy
+	// wall-clock. SyncDrains (non-empty mailbox sweeps) and SyncIdleMax
+	// (largest per-shard count of idle-wait quanta) depend on goroutine
+	// interleaving when shards run in parallel.
+	SyncPoints    uint64
 	SyncCrossings uint64
 	SyncDrains    uint64
 	SyncIdleMax   uint64
 
 	// WorkloadFingerprint is the workload.Runner's deterministic counter
 	// line when ScaleConfig.Workload drove the run (empty otherwise) —
-	// the cross-shard/scheduler/sync determinism guards compare it.
+	// the cross-shard determinism guards compare it.
 	WorkloadFingerprint string
 }
 
@@ -159,8 +149,8 @@ func (r *ScaleResult) Table() string {
 		float64(r.Wall.Microseconds())/1e3, r.PktHopsPerSec()/1e6, r.EventsPerSec()/1e6,
 		r.NsPerPktHop(), r.AllocsPerPktHop())
 	if r.Shards > 1 {
-		fmt.Fprintf(&b, "sync %s: %d sync points, %d crossings, %d drains, max idle waits %d\n",
-			r.Sync, r.SyncEpochs, r.SyncCrossings, r.SyncDrains, r.SyncIdleMax)
+		fmt.Fprintf(&b, "sync: %d sync points, %d crossings, %d drains, max idle waits %d\n",
+			r.SyncPoints, r.SyncCrossings, r.SyncDrains, r.SyncIdleMax)
 	}
 	return b.String()
 }
@@ -226,7 +216,7 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 	}
 
-	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Scheduler: cfg.Scheduler, Sync: cfg.Sync, Faults: cfg.Faults})
+	net := NewNet(SimOpts{Seed: cfg.Seed, Shards: cfg.Shards, Faults: cfg.Faults})
 	pods := net.FatTree(cfg.K, cfg.RateMbps)
 	var hosts []*Host
 	for _, pod := range pods {
@@ -340,7 +330,6 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	// The aggregator accumulates from time zero; baseline it so
 	// TPPHopRecords covers the measured window like every other counter.
 	hopRecordsBefore := hopRecords.Load()
-	res.Sync = cfg.Sync
 	var syncBefore SyncStats
 	if g := net.Group(); g != nil {
 		syncBefore = g.Stats()
@@ -369,7 +358,7 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 	res.PoolNews = newsAfter - newsBefore
 	if g := net.Group(); g != nil {
 		s := g.Stats()
-		res.SyncEpochs = s.Epochs - syncBefore.Epochs
+		res.SyncPoints = s.Epochs - syncBefore.Epochs
 		res.SyncCrossings = s.Crossings - syncBefore.Crossings
 		res.SyncDrains = s.Drains - syncBefore.Drains
 		res.SyncIdleMax = s.MaxIdleParks
@@ -416,25 +405,7 @@ type E2EHarness struct {
 // telemetry program on the send path and a non-copying aggregator on the
 // receive path.
 func NewE2EHarness(withTPP bool) (*E2EHarness, error) {
-	return NewE2EHarnessWith(withTPP, SimOpts{})
-}
-
-// NewE2EHarnessScheduler is NewE2EHarness with an explicit engine scheduler.
-//
-// Deprecated: use NewE2EHarnessWith.
-func NewE2EHarnessScheduler(withTPP bool, sched Scheduler) (*E2EHarness, error) {
-	return NewE2EHarnessWith(withTPP, SimOpts{Scheduler: sched})
-}
-
-// NewE2EHarnessWith is NewE2EHarness with explicit substrate options, for
-// heap-vs-wheel A/B measurements of the same forward path. A zero Seed
-// means the harness default (1); the three-node topology is always a
-// single shard.
-func NewE2EHarnessWith(withTPP bool, o SimOpts) (*E2EHarness, error) {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	net := NewNet(SimOpts{Seed: o.Seed, Scheduler: o.Scheduler})
+	net := NewNet(SimOpts{Seed: 1})
 	sw := net.AddSwitch(2)
 	src, dst := net.AddHost(), net.AddHost()
 	cfg := HostLink(10_000)

@@ -17,10 +17,9 @@
 //
 // Everything is deterministic: the plan carries its own seed, each fault
 // target draws from a private stream derived from it, and identical
-// (topology, workload, plan) tuples replay byte-identically across runs,
-// shard counts and engine schedulers. See internal/faults for the
-// determinism contract and testbed.RunChaos for the ready-made chaos
-// scenario that enforces it.
+// (topology, workload, plan) tuples replay byte-identically across runs
+// and shard counts. See internal/faults for the determinism contract and
+// testbed.RunChaos for the ready-made chaos scenario that enforces it.
 package faults
 
 import (

@@ -29,7 +29,7 @@
 // Spec.Seed, the group's seed offset and the source's stable host index —
 // never from an engine RNG — and schedules only on its own host's shard
 // engine. Identical (topology, Spec) pairs therefore replay byte-identically
-// across shard counts, sync modes and schedulers; Runner.Fingerprint
+// across shard counts; Runner.Fingerprint
 // summarizes a run for exactly that comparison.
 package workload
 
@@ -55,7 +55,7 @@ const unbounded = sim.Time(math.MaxInt64)
 type Spec struct {
 	// Seed is the root of every RNG stream the compiled generators use.
 	// Identical Specs attached to identical topologies replay
-	// byte-identically regardless of shard count, sync mode or scheduler.
+	// byte-identically regardless of shard count.
 	Seed int64
 	// Groups compose independent generators; each compiles onto its own
 	// host subset with its own derived seed.
@@ -327,8 +327,7 @@ func (r *Runner) Stats() []GroupStats {
 }
 
 // Fingerprint renders the runner's counters as one deterministic line —
-// byte-identical across shard counts, sync modes and schedulers for
-// identical (topology, Spec) runs.
+// byte-identical across shard counts for identical (topology, Spec) runs.
 func (r *Runner) Fingerprint() string {
 	var b strings.Builder
 	for i, gs := range r.Stats() {
