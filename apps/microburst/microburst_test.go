@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"minions/apps/microburst"
-	"minions/internal/trafficgen"
 	"minions/tppnet"
+	"minions/workload"
 )
 
 // figure1 runs a scaled-down §2.1 experiment: 6-host dumbbell at 100 Mb/s,
@@ -21,12 +21,14 @@ func figure1(t *testing.T, duration tppnet.Time) (*tppnet.Network, *microburst.M
 	if err := mon.Attach(n, nil); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	if _, err := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0.30,
 		Duration: duration,
 		Seed:     11,
-	})
+	}).Attach(hosts); err != nil {
+		t.Fatal(err)
+	}
 	n.RunUntil(duration + 50*tppnet.Millisecond)
 	return n, mon
 }
@@ -108,9 +110,11 @@ func TestSamplingReducesCost(t *testing.T) {
 	if err := mon.Attach(n, nil); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	if _, err := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 300 * tppnet.Millisecond, Seed: 5,
-	})
+	}).Attach(hosts); err != nil {
+		t.Fatal(err)
+	}
 	n.RunUntil(400 * tppnet.Millisecond)
 	var attached, tx uint64
 	for _, h := range n.Hosts {
@@ -141,9 +145,11 @@ func TestSampleStreamMatchesAggregates(t *testing.T) {
 	}
 	var streamed uint64
 	mon.SampleStream().Subscribe(func(s microburst.Sample) { streamed++ })
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	if _, err := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 200 * tppnet.Millisecond, Seed: 7,
-	})
+	}).Attach(hosts); err != nil {
+		t.Fatal(err)
+	}
 	n.RunUntil(300 * tppnet.Millisecond)
 	if streamed == 0 {
 		t.Fatal("sample stream delivered nothing")
@@ -168,9 +174,11 @@ func TestCloseStopsCollection(t *testing.T) {
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	if _, err := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: 10_000, Load: 0.2, Duration: 100 * tppnet.Millisecond, Seed: 9,
-	})
+	}).Attach(hosts); err != nil {
+		t.Fatal(err)
+	}
 	n.RunUntil(200 * tppnet.Millisecond)
 	if mon.Samples() != 0 {
 		t.Errorf("closed monitor ingested %d samples", mon.Samples())

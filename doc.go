@@ -60,9 +60,9 @@
 //     policies; telemetry.Export bridges any typed app.Stream into it, and
 //     each apps/* package ships a canonical record encoder. Its subpackage
 //     minions/telemetry/trace is the versioned binary packet-trace format:
-//     trace.Start taps every host transmit of a running simulation, and a
-//     captured trace replays through internal/trafficgen into a rebuilt
-//     topology with byte-identical results. cmd/tppdump decodes, filters
+//     trace.Start taps every host transmit of a running simulation, and
+//     trace.Replay re-injects a captured trace into a rebuilt topology
+//     with byte-identical results. cmd/tppdump decodes, filters
 //     and summarizes trace files.
 //
 //   - minions/workload — the scriptable traffic engine that feeds all of

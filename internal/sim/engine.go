@@ -62,15 +62,12 @@ type Handler interface {
 // so the firing order is independent of *when* a crossing was drained —
 // the property that lets the asynchronous engine drain mailboxes at
 // arbitrary instants and still match the barrier engine byte for byte.
-// Exactly one of h and fn is set: h+arg is the typed zero-allocation form,
-// fn the closure compatibility form used by At/After.
 type event struct {
 	at  Time
 	ins Time
 	seq uint64
 	h   Handler
 	arg uint64
-	fn  func()
 }
 
 // scheduler is the engine's pending-event store: pop returns the minimum
@@ -105,15 +102,16 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
+// funcHandler adapts a closure to Handler. A func value is pointer-shaped,
+// so converting one to the interface allocates nothing beyond the closure.
+type funcHandler func()
+
+// Handle calls the closure.
+func (f funcHandler) Handle(uint64) { f() }
+
 // At schedules fn at absolute virtual time t (clamped to now). The closure
 // API is the convenience layer; per-packet hot paths use Schedule instead.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.sched.push(event{at: t, ins: e.now, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, funcHandler(fn), 0) }
 
 // After schedules fn d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
@@ -156,35 +154,6 @@ func (e *Engine) ScheduleAfter(d Time, h Handler, arg uint64) {
 	e.Schedule(e.now+d, h, arg)
 }
 
-// Ticker is a cancellable repeating event. It is its own Handler: each tick
-// re-arms by scheduling the ticker itself, so a running ticker costs no
-// allocations after Every's single setup allocation.
-type Ticker struct {
-	eng      *Engine
-	interval Time
-	fn       func()
-	stopped  bool
-}
-
-// Stop cancels future firings.
-func (t *Ticker) Stop() { t.stopped = true }
-
-// Handle fires one tick and re-arms the ticker.
-func (t *Ticker) Handle(uint64) {
-	if t.stopped || t.eng.stopped {
-		return
-	}
-	t.fn()
-	t.eng.ScheduleAfter(t.interval, t, 0)
-}
-
-// Every schedules fn every interval, first firing at start.
-func (e *Engine) Every(start, interval Time, fn func()) *Ticker {
-	t := &Ticker{eng: e, interval: interval, fn: fn}
-	e.Schedule(start, t, 0)
-	return t
-}
-
 // Stop halts the run loop after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -195,11 +164,7 @@ func (e *Engine) Run() int {
 	for e.sched.len() > 0 && !e.stopped {
 		ev := e.sched.pop()
 		e.now = ev.at
-		if ev.h != nil {
-			ev.h.Handle(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle(ev.arg)
 		n++
 	}
 	return n
@@ -226,11 +191,7 @@ func (e *Engine) runTo(deadline Time, inclusive bool) int {
 		}
 		ev := e.sched.pop()
 		e.now = ev.at
-		if ev.h != nil {
-			ev.h.Handle(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle(ev.arg)
 		n++
 	}
 	if !e.stopped && e.now < deadline {

@@ -81,44 +81,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := New(1)
-	var ticks []Time
-	tk := e.Every(10, 10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 5 {
-			// Stop from within the callback.
-			e.Stop()
-		}
-	})
-	e.Run()
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks", len(ticks))
-	}
-	for i, at := range ticks {
-		if at != Time(10*(i+1)) {
-			t.Errorf("tick %d at %d", i, at)
-		}
-	}
-	_ = tk
-}
-
-func TestTickerStop(t *testing.T) {
-	e := New(1)
-	count := 0
-	var tk *Ticker
-	tk = e.Every(1, 1, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestStopHaltsRun(t *testing.T) {
 	e := New(1)
 	count := 0
@@ -246,6 +208,24 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Schedule+Run allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// At adapts its closure to a Handler without boxing: a closure that
+// captures nothing schedules and fires with zero allocations.
+func TestAtZeroAlloc(t *testing.T) {
+	e := New(1)
+	noop := func() {}
+	for i := 0; i < 128; i++ {
+		e.At(Time(i), noop)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.After(1, noop)
+		e.RunUntil(e.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Run allocated %.1f per run, want 0", allocs)
 	}
 }
 

@@ -18,6 +18,27 @@ func (s *crossSink) Handle(arg uint64) {
 	*s.log = append(*s.log, fmt.Sprintf("recv %d @%d", arg, s.eng.Now()))
 }
 
+// periodicSender sends its tick count over c to sink every interval: a
+// self-rescheduling Handler standing in for a periodic traffic source.
+type periodicSender struct {
+	eng      *Engine
+	c        *Channel
+	sink     Handler
+	interval Time
+	tick     uint64
+}
+
+// startPeriodic arms a periodicSender whose first send fires at start.
+func startPeriodic(eng *Engine, c *Channel, sink Handler, start, interval Time) {
+	eng.Schedule(start, &periodicSender{eng: eng, c: c, sink: sink, interval: interval}, 0)
+}
+
+func (p *periodicSender) Handle(uint64) {
+	p.c.Send(p.eng.Now(), p.sink, p.tick)
+	p.tick++
+	p.eng.ScheduleAfter(p.interval, p, 0)
+}
+
 // TestShardGroupCrossing sends values between two shards over a
 // 10 ns-lookahead channel and checks delivery times and determinism, under
 // both sync modes and both execution modes.
@@ -202,8 +223,7 @@ func TestShardGroupNoGoroutineGrowth(t *testing.T) {
 	c01 := g.AddChannel(0, 1, 10)
 	var log []string
 	sink := &crossSink{eng: e1, log: &log}
-	tick := Time(0)
-	e0.Every(5, 5, func() { c01.Send(e0.Now(), sink, uint64(tick)); tick++ })
+	startPeriodic(e0, c01, sink, 5, 5)
 
 	base := runtime.NumGoroutine()
 	for d := Time(10); d <= 5000; d += 10 {
@@ -316,8 +336,7 @@ func TestShardGroupSyncStats(t *testing.T) {
 		c01 := g.AddChannel(0, 1, 10)
 		g.AddChannel(1, 0, 10)
 		sink := &crossSink{eng: e1, log: &log}
-		tick := uint64(0)
-		e0.Every(3, 3, func() { c01.Send(e0.Now(), sink, tick); tick++ })
+		startPeriodic(e0, c01, sink, 3, 3)
 		return g, &log
 	}
 

@@ -26,9 +26,9 @@
 // at Close.
 //
 // Subpackage telemetry/trace defines the versioned binary format for
-// recorded TPP-annotated packet traces and the capture hooks that write it;
-// package internal/trafficgen replays such traces as a deterministic
-// traffic source.
+// recorded TPP-annotated packet traces, the capture hook that writes it
+// (trace.Start) and the replay that re-injects such a trace as a
+// deterministic traffic source (trace.Replay).
 package telemetry
 
 // Record is the pipeline's fixed-size unit of export: one telemetry event,

@@ -17,8 +17,8 @@ import (
 // them in-network, so recording them too would double-inject.
 //
 // Capture is for single-engine runs: taps from multiple shard goroutines
-// would interleave one writer. The testbed runners enforce that; Start
-// itself does not know the shard layout.
+// would interleave one writer, so Start rejects hosts spanning more than
+// one shard engine with ErrSharded.
 type Capture struct {
 	w     *Writer
 	bw    *bufio.Writer
@@ -35,7 +35,12 @@ type Capture struct {
 // Start writes the trace header to w and installs a TX tap on every host.
 // Writes are buffered; Close detaches the taps and flushes. Each host
 // supports one tap — starting a capture replaces any tap already set.
+// Hosts on more than one shard engine are rejected with ErrSharded before
+// anything is written.
 func Start(w io.Writer, hosts ...*host.Host) (*Capture, error) {
+	if _, err := singleEngine(hosts); err != nil {
+		return nil, err
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	tw, err := NewWriter(bw)
 	if err != nil {

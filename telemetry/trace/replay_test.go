@@ -1,4 +1,4 @@
-package trafficgen_test
+package trace_test
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"minions/internal/link"
 	"minions/internal/sim"
 	"minions/internal/topo"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
 	"minions/telemetry/trace"
 )
@@ -64,20 +63,20 @@ func TestReplayReproducesRun(t *testing.T) {
 	}
 
 	n2, hosts2, sinks2 := buildDumbbell(11)
-	stats, err := trafficgen.ReplayFrom(hosts2, bytes.NewReader(buf.Bytes()))
+	stats, err := trace.Replay(bytes.NewReader(buf.Bytes()), nil, hosts2...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n2.Eng.RunUntil(30 * sim.Millisecond)
 
-	if stats.Packets() != cap.Packets {
-		t.Fatalf("replay injected %d packets, capture recorded %d", stats.Packets(), cap.Packets)
+	if stats.Packets != cap.Packets {
+		t.Fatalf("replay injected %d packets, capture recorded %d", stats.Packets, cap.Packets)
 	}
-	if stats.Standalone() != 1 {
-		t.Fatalf("replay injected %d standalone probes, want 1", stats.Standalone())
+	if stats.Standalone != 1 {
+		t.Fatalf("replay injected %d standalone probes, want 1", stats.Standalone)
 	}
-	if got := stats.StandaloneBytes(app.Wire); got == 0 {
-		t.Fatal("no standalone bytes tallied for the probing app")
+	if stats.StandaloneBytes == 0 {
+		t.Fatal("no standalone bytes tallied for the probe")
 	}
 	for i := range sinks1 {
 		if sinks1[i].Packets != sinks2[i].Packets || sinks1[i].Bytes != sinks2[i].Bytes {
@@ -115,18 +114,18 @@ func TestReplayWrongTopology(t *testing.T) {
 
 	n2 := topo.New(5)
 	smaller, _, _ := topo.Dumbbell(n2, 2, 100)
-	_, err = trafficgen.ReplayFrom(smaller, bytes.NewReader(buf.Bytes()))
+	_, err = trace.Replay(bytes.NewReader(buf.Bytes()), nil, smaller...)
 	if err == nil {
 		t.Fatal("replay accepted a trace from a different topology")
 	}
-	if !errors.Is(err, trafficgen.ErrTopologyMismatch) {
+	if !errors.Is(err, trace.ErrTopologyMismatch) {
 		t.Fatalf("error %v does not wrap ErrTopologyMismatch", err)
 	}
 }
 
 // TestReplayMissingDestination: a record addressed to a node the replay
 // topology cannot deliver to — here a switch — is rejected as a topology
-// mismatch unless the caller lists it via ReplayTo. Regression test for the
+// mismatch unless the caller lists it in extraDests. Regression test for the
 // silent failure mode where such records were injected anyway and the
 // packets wandered until TTL death, skewing every replayed counter.
 func TestReplayMissingDestination(t *testing.T) {
@@ -149,19 +148,16 @@ func TestReplayMissingDestination(t *testing.T) {
 	if err := cap.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
+	if cap.Packets == 0 {
 		t.Fatal("capture recorded no packets")
 	}
 
 	n2, hosts2, _ := buildDumbbell(7)
-	if _, err := trafficgen.Replay(hosts2, recs); !errors.Is(err, trafficgen.ErrTopologyMismatch) {
+	if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), nil, hosts2...); !errors.Is(err, trace.ErrTopologyMismatch) {
 		t.Fatalf("Replay with a switch-targeted record: err %v, want ErrTopologyMismatch", err)
 	}
-	if _, err := trafficgen.ReplayTo(hosts2, []link.NodeID{n2.Switches[0].NodeID()}, recs); err != nil {
-		t.Fatalf("ReplayTo with the switch listed: %v", err)
+	swDests := []link.NodeID{n2.Switches[0].NodeID()}
+	if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), swDests, hosts2...); err != nil {
+		t.Fatalf("Replay with the switch listed: %v", err)
 	}
 }

@@ -15,7 +15,6 @@ package testbed
 // single stream and record order must match virtual time order.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,15 +22,15 @@ import (
 	"minions/apps/conga"
 	"minions/apps/rcp"
 	"minions/internal/link"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
 	"minions/telemetry/trace"
 )
 
 // ErrShardedCapture reports a capture or replay request on a sharded run.
 // Trace files are a single time-ordered stream, so both sides are restricted
-// to one shard.
-var ErrShardedCapture = errors.New("testbed: trace capture and replay require a single-shard run")
+// to one shard. It is trace.ErrSharded, which trace.Start and trace.Replay
+// return for hosts spanning several shard engines.
+var ErrShardedCapture = trace.ErrSharded
 
 // fig2Step is the Figure 2 sampling interval: one rate point per step.
 const fig2Step = 250 * Millisecond
@@ -50,7 +49,7 @@ func (e *ShortRunError) Error() string {
 
 // switchDests lists the topology's switch NodeIDs so replays accept
 // switch-targeted records (debugging probes address switches directly);
-// trafficgen rejects any other unknown destination as a topology mismatch.
+// trace.Replay rejects any other unknown destination as a topology mismatch.
 func switchDests(n *Network) []link.NodeID {
 	ids := make([]link.NodeID, len(n.Switches))
 	for i, sw := range n.Switches {
@@ -130,7 +129,7 @@ func runFig2Panel(duration Time, o SimOpts, alpha float64, capW io.Writer, repR 
 		for i, p := range pairs {
 			sinks[i] = transport.NewSink(n.Hosts[p[1]], uint16(7001+i), link.ProtoUDP)
 		}
-		if _, err := trafficgen.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
+		if _, err := trace.Replay(repR, switchDests(n), n.Hosts...); err != nil {
 			return nil, zero, err
 		}
 	}
@@ -205,7 +204,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 	var subs []*transport.UDPFlow
 	var bal *conga.Balancer
 	var tc *trace.Capture
-	var replayStats *trafficgen.ReplayStats
+	var replayStats *trace.ReplayStats
 	if repR == nil {
 		// Taps first: the balancer's Start sends its tag-discovery probes
 		// synchronously, and a trace missing them would replay to a lower
@@ -242,7 +241,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 		}
 	} else {
 		var err error
-		if replayStats, err = trafficgen.ReplayFromTo(n.Hosts, switchDests(n), repR); err != nil {
+		if replayStats, err = trace.Replay(repR, switchDests(n), n.Hosts...); err != nil {
 			return Fig4Cell{}, err
 		}
 	}
@@ -279,7 +278,7 @@ func runFig4Cell(duration Time, o SimOpts, useConga bool, capW io.Writer, repR i
 	if useConga && replayStats != nil {
 		// The balancer sends probes with MaxAttempts 1, so the replayed
 		// standalone bytes equal the original run's ProbeBytes exactly.
-		cell.ProbeMbps = float64(replayStats.TotalStandaloneBytes()) * 8 / n.Now().Seconds() / 1e6
+		cell.ProbeMbps = float64(replayStats.StandaloneBytes) * 8 / n.Now().Seconds() / 1e6
 	}
 	if f0 != nil {
 		f0.Stop()

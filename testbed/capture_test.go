@@ -3,6 +3,7 @@ package testbed
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -75,6 +76,23 @@ func TestCaptureRejectsShardedRun(t *testing.T) {
 	}
 	if _, err := RunFig4Replay(Second, SimOpts{Seed: 1, Shards: 2}, strings.NewReader(""), nil); !errors.Is(err, ErrShardedCapture) {
 		t.Fatalf("sharded replay: got %v, want ErrShardedCapture", err)
+	}
+}
+
+// TestTraceStartRejectsShardedHosts: the trace entry points themselves, not
+// only the testbed runners, refuse hosts spread over several shard engines —
+// their taps would write one buffered stream from several goroutines.
+func TestTraceStartRejectsShardedHosts(t *testing.T) {
+	n := NewNet(SimOpts{Seed: 1, Shards: 2})
+	hosts, _, _ := n.Dumbbell(4, 100)
+	if hosts[0].Engine() == hosts[len(hosts)-1].Engine() {
+		t.Fatal("2-shard dumbbell put every host on one engine; the test is vacuous")
+	}
+	if _, err := trace.Start(io.Discard, hosts...); !errors.Is(err, ErrShardedCapture) {
+		t.Fatalf("trace.Start on sharded hosts: got %v, want ErrShardedCapture", err)
+	}
+	if _, err := trace.Replay(strings.NewReader(""), nil, hosts...); !errors.Is(err, ErrShardedCapture) {
+		t.Fatalf("trace.Replay on sharded hosts: got %v, want ErrShardedCapture", err)
 	}
 }
 

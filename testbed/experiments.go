@@ -16,8 +16,8 @@ import (
 	"minions/internal/hwmodel"
 	"minions/internal/link"
 	"minions/internal/sim"
-	"minions/internal/trafficgen"
 	"minions/internal/transport"
+	"minions/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -55,14 +55,9 @@ type Fig1Result struct {
 	BurstQueues int
 }
 
-// RunFig1 reproduces the §2.1 experiment.
+// RunFig1 reproduces the §2.1 experiment: RunFig1Workload driven by the
+// canned all-to-all spec.
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	if cfg.Hosts == 0 {
-		cfg.Hosts = 6
-	}
-	if cfg.RateMbps == 0 {
-		cfg.RateMbps = 100
-	}
 	if cfg.MsgBytes == 0 {
 		cfg.MsgBytes = 10_000
 	}
@@ -72,27 +67,16 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 2 * Second
 	}
-	n := NewNet(SimOpts{Seed: cfg.Seed + 3, Shards: cfg.Shards})
-	hosts, _, _ := n.Dumbbell(cfg.Hosts, cfg.RateMbps)
-	mon := microburst.New(microburst.Config{
-		Filter: FilterSpec{Proto: link.ProtoUDP},
-		Hosts:  hosts,
-	})
-	if err := mon.Attach(n, nil); err != nil {
-		return nil, err
-	}
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	spec := workload.AllToAll(workload.AllToAllConfig{
 		MsgBytes: cfg.MsgBytes,
 		Load:     cfg.Load,
 		Duration: cfg.Duration,
 		Seed:     cfg.Seed + 11,
 	})
-	n.RunUntil(cfg.Duration + 100*Millisecond)
-	return fig1Summarize(mon), nil
+	return RunFig1Workload(&spec, cfg)
 }
 
-// fig1Summarize folds a microburst monitor into the Figure 1 panels; shared
-// by RunFig1 and RunFig1Workload.
+// fig1Summarize folds a microburst monitor into the Figure 1 panels.
 func fig1Summarize(mon *microburst.Monitor) *Fig1Result {
 	res := &Fig1Result{TotalSamples: mon.Samples(), OverheadBytes: mon.Overhead()}
 	for _, q := range mon.Queues() {

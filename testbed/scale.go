@@ -15,27 +15,11 @@ import (
 	"time"
 
 	"minions/internal/link"
-	"minions/internal/trafficgen"
 	"minions/telemetry"
 	"minions/tpp"
 	"minions/tppnet"
 	"minions/workload"
 )
-
-// RandomFlowsConfig parameterizes UniformRandomFlows.
-type RandomFlowsConfig = trafficgen.RandomFlowsConfig
-
-// UniformRandomFlows starts long-lived CBR flows between uniformly random
-// distinct host pairs, re-exported from the traffic generator.
-var UniformRandomFlows = trafficgen.UniformRandomFlows
-
-// AllToAllConfig parameterizes AllToAll.
-type AllToAllConfig = trafficgen.AllToAllConfig
-
-// AllToAll starts the Figure 1 workload — every host sends Poisson message
-// bursts to every other host — re-exported so example code and external
-// users can drive app-layer experiments without internal packages.
-var AllToAll = trafficgen.AllToAll
 
 // ScaleConfig parameterizes a fat-tree scale run.
 type ScaleConfig struct {
@@ -307,13 +291,17 @@ func RunScaleFatTree(cfg ScaleConfig) (*ScaleResult, error) {
 		// window holds the zero-alloc contract (behavior is unchanged).
 		net.Prewarm(0, tppEncLen)
 	} else {
-		_, sinks = trafficgen.UniformRandomFlows(hosts, trafficgen.RandomFlowsConfig{
+		ur, err := workload.UniformRandom(workload.UniformRandomConfig{
 			Flows:   cfg.Flows,
 			RateBps: int64(cfg.FlowRateMbps) * 1_000_000,
 			PktSize: cfg.PktSize,
 			DstPort: dstPort,
 			Seed:    cfg.Seed,
-		})
+		}).Attach(hosts)
+		if err != nil {
+			return nil, err
+		}
+		sinks = ur.Sinks
 	}
 
 	// Warm up: fill pools, rings and the event heap so the measured window

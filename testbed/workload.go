@@ -65,10 +65,10 @@ func WorkloadIncastFatTree(k int) *workload.Spec {
 // ---------------------------------------------------------------------------
 // Microburst detection (§2.1 / Figure 1) under an arbitrary workload.
 
-// RunFig1Workload is RunFig1 with the all-to-all generator replaced by a
-// workload.Spec: the same dumbbell, the same microburst monitor on every
-// UDP packet, traffic from the spec. A zero Spec.Seed inherits cfg.Seed+11
-// (the slot the legacy all-to-all seed used).
+// RunFig1Workload is the Figure 1 experiment under any workload.Spec: the
+// same dumbbell, the same microburst monitor on every UDP packet, traffic
+// from the spec. A zero Spec.Seed inherits cfg.Seed+11 (the seed RunFig1
+// gives its all-to-all spec).
 func RunFig1Workload(spec *workload.Spec, cfg Fig1Config) (*Fig1Result, error) {
 	if cfg.Hosts == 0 {
 		cfg.Hosts = 6

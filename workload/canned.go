@@ -2,9 +2,9 @@ package workload
 
 import "minions/internal/sim"
 
-// AllToAllConfig mirrors the legacy trafficgen all-to-all workload: every
-// host Poisson-sends fixed-size messages to uniform-random peers as
-// back-to-back bursts — the §2.1 microburst traffic.
+// AllToAllConfig parameterizes the all-to-all workload: every host
+// Poisson-sends fixed-size messages to uniform-random peers as back-to-back
+// bursts — the §2.1 microburst traffic of Figure 1.
 type AllToAllConfig struct {
 	MsgBytes int     // bytes per message
 	Load     float64 // fraction of each host NIC's line rate
@@ -14,15 +14,14 @@ type AllToAllConfig struct {
 	Seed     int64
 }
 
-// AllToAll returns the canned all-to-all Spec. With Seed/defaults matching,
-// the compiled generators replay the legacy internal/trafficgen.AllToAll
-// byte-identically (same per-host RNG streams, same draw order) — the
-// Fig1/Fig2 golden tables pin this.
+// AllToAll returns the canned all-to-all Spec that drives Figure 1. Its
+// per-host RNG streams and draw order are pinned by the Fig1/Fig2 golden
+// tables.
 func AllToAll(cfg AllToAllConfig) Spec {
 	load := cfg.Load
 	if cfg.Duration <= 0 {
-		// Legacy semantics: a zero duration stops senders at t=0, i.e.
-		// no traffic at all. Compile no senders so Run() still terminates.
+		// A zero duration stops senders at t=0, i.e. no traffic at
+		// all. Compile no senders so Run() still terminates.
 		load = 0
 	}
 	return Spec{Seed: cfg.Seed, Groups: []Group{{
@@ -37,8 +36,8 @@ func AllToAll(cfg AllToAllConfig) Spec {
 	}}}
 }
 
-// UniformRandomConfig mirrors the legacy trafficgen uniform-random-flows
-// workload: long-lived CBR UDP flows between uniform-random host pairs.
+// UniformRandomConfig parameterizes the uniform-random-flows workload:
+// long-lived CBR UDP flows between uniform-random host pairs.
 type UniformRandomConfig struct {
 	Flows    int
 	RateBps  int64
@@ -48,10 +47,9 @@ type UniformRandomConfig struct {
 	MaxStart sim.Time // start jitter window (default 1 ms)
 }
 
-// UniformRandom returns the canned uniform-random-flows Spec, byte-identical
-// to the legacy internal/trafficgen.UniformRandomFlows (one shared pair RNG,
-// same sink/flow creation order) — the ScaleResult golden fingerprints pin
-// this.
+// UniformRandom returns the canned uniform-random-flows Spec, the default
+// traffic of the fat-tree scale runs. Its pair RNG and sink/flow creation
+// order are pinned by the ScaleResult golden fingerprints.
 func UniformRandom(cfg UniformRandomConfig) Spec {
 	return Spec{Seed: cfg.Seed, Groups: []Group{{
 		Name: "uniform-random",

@@ -1,17 +1,29 @@
-package trafficgen_test
+package workload
 
 import (
 	"testing"
 
+	"minions/internal/host"
 	"minions/internal/sim"
 	"minions/internal/topo"
-	"minions/internal/trafficgen"
+	"minions/internal/transport"
 )
+
+// attachAllToAll compiles the canned all-to-all Spec onto hosts and returns
+// its sinks, one per host.
+func attachAllToAll(t *testing.T, hosts []*host.Host, cfg AllToAllConfig) []*transport.Sink {
+	t.Helper()
+	r, err := AllToAll(cfg).Attach(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Sinks
+}
 
 func TestAllToAllOfferedLoad(t *testing.T) {
 	n := topo.New(1)
 	hosts, _, _ := topo.Dumbbell(n, 6, 100)
-	sinks := trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	sinks := attachAllToAll(t, hosts, AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0.30,
 		Duration: 2 * sim.Second,
@@ -40,7 +52,7 @@ func TestAllToAllOfferedLoad(t *testing.T) {
 func TestAllToAllZeroLoad(t *testing.T) {
 	n := topo.New(1)
 	hosts, _, _ := topo.Dumbbell(n, 4, 100)
-	sinks := trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	sinks := attachAllToAll(t, hosts, AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0,
 		Duration: sim.Second,
@@ -53,14 +65,14 @@ func TestAllToAllZeroLoad(t *testing.T) {
 	}
 }
 
-// TestTrafficgenZeroAllocs guards the de-closured pacing path: a warmed
+// TestAllToAllZeroAllocs guards the de-closured pacing path: a warmed
 // all-to-all workload — Poisson arrivals, destination draws, burst sends,
 // deliveries, drops — runs entirely on typed resident handlers and pooled
 // packets, so advancing the simulation allocates nothing.
-func TestTrafficgenZeroAllocs(t *testing.T) {
+func TestAllToAllZeroAllocs(t *testing.T) {
 	n := topo.New(1)
 	hosts, _, _ := topo.Dumbbell(n, 6, 100)
-	trafficgen.AllToAll(hosts, trafficgen.AllToAllConfig{
+	attachAllToAll(t, hosts, AllToAllConfig{
 		MsgBytes: 10_000,
 		Load:     0.30,
 		Duration: 3600 * sim.Second, // longer than any window measured below
@@ -75,20 +87,5 @@ func TestTrafficgenZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("all-to-all steady state allocated %.2f per 2 ms window, want 0", allocs)
-	}
-}
-
-func TestPermutationFlows(t *testing.T) {
-	n := topo.New(1)
-	hosts, _, _ := topo.Dumbbell(n, 4, 100)
-	flows := trafficgen.Permutation(hosts, 1440, 2)
-	if len(flows) != 4 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	n.Eng.RunUntil(500 * sim.Millisecond)
-	for i, f := range flows {
-		if f.TxDataPkts == 0 {
-			t.Errorf("flow %d sent nothing", i)
-		}
 	}
 }

@@ -12,7 +12,8 @@
 //     elephant/mice mixes. A class sends back-to-back bursts or paces
 //     through a precise per-source token bucket.
 //   - Flows: long-lived CBR UDP flows between uniform-random pairs (the
-//     legacy trafficgen workload), or bounded TCP transfers.
+//     fat-tree scale workload, see UniformRandom), or bounded TCP
+//     transfers.
 //   - Incast: partition-aggregate request/response rounds — aggregators
 //     fan requests to a random worker subset each period and the workers'
 //     synchronized responses collide on the aggregator's edge link.
@@ -75,8 +76,8 @@ type Group struct {
 	Start, Stop sim.Time
 	// SeedOffset separates this group's RNG streams from the Spec seed.
 	// When 0, group i>0 derives a distinct default offset; group 0 uses
-	// Spec.Seed directly (which is what makes the legacy trafficgen
-	// bridges byte-identical).
+	// Spec.Seed directly (the stream the canned AllToAll/UniformRandom
+	// specs and the golden tables pinning them depend on).
 	SeedOffset int64
 	// SportBase is the first source port the group's senders use (each
 	// source/flow gets SportBase+index). 0 picks a per-kind default
@@ -99,8 +100,8 @@ type MessageSpec struct {
 	// one is required.
 	Classes []Class
 	// Load sets the per-source arrival rate as a fraction of the source
-	// NIC's line rate carried in mean-sized messages (the legacy
-	// trafficgen convention): arrivals/sec = Load * nic_bps / (mean_bytes*8).
+	// NIC's line rate carried in mean-sized messages (the §2.1 all-to-all
+	// convention): arrivals/sec = Load * nic_bps / (mean_bytes*8).
 	Load float64
 	// ArrivalsPerSec, when > 0, sets the per-source arrival rate directly
 	// and overrides Load.
@@ -136,8 +137,8 @@ type Class struct {
 }
 
 // FlowSpec generates long-lived flows between uniform-random host pairs —
-// the legacy trafficgen "uniform random flows" workload, plus a bounded TCP
-// variant.
+// the "uniform random flows" workload of the fat-tree scale runs, plus a
+// bounded TCP variant.
 type FlowSpec struct {
 	// Flows is the number of flows (required).
 	Flows int
@@ -370,7 +371,7 @@ func (s Spec) Attach(hosts []*host.Host) (*Runner, error) {
 }
 
 // groupSeed derives the group's RNG seed root. Group 0 with no explicit
-// offset uses Spec.Seed directly — the legacy-compatible stream.
+// offset uses Spec.Seed directly — the stream the canned specs' goldens pin.
 func groupSeed(s Spec, gi int, g *Group) int64 {
 	if g.SeedOffset != 0 {
 		return s.Seed + g.SeedOffset
@@ -569,7 +570,7 @@ func compileMessages(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *
 			eng: h.Engine(), src: h, rng: rng, g: gr,
 			dsts: dsts, meanGap: float64(sim.Second) / perSec,
 			pktSize: pktSize, sport: uint16(sportBase + i), dport: dstPort,
-			stopAt: stopAt,
+			stopAt:  stopAt,
 			classes: classes, pick: pick,
 		}
 		if paced {
@@ -651,9 +652,9 @@ func compileFlows(g *Group, gr *groupRun, hosts []*host.Host, seed int64, r *Run
 		r.nsrc += f.Flows
 		return nil
 	}
-	// Legacy draw order (trafficgen.UniformRandomFlows): sinks on every
-	// candidate first, then one shared group RNG drawing src, dst,
-	// then the start jitter per flow.
+	// Pinned draw order (the ScaleResult golden fingerprints depend on
+	// it): sinks on every candidate first, then one shared group RNG
+	// drawing src, dst, then the start jitter per flow.
 	for _, h := range cand {
 		r.Sinks = append(r.Sinks, transport.NewSink(h, dstPort, link.ProtoUDP))
 	}
